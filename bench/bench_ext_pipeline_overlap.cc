@@ -2,9 +2,9 @@
  * @file
  * Extension bench: inter-frame stage pipelining on the frame-graph
  * executor. The Figure 1 DAG gives LOC its own branch next to
- * DET->TRA, and the async executor additionally overlaps *frames*:
- * DET on frame k runs while TRA/FUSION/MOTPLAN finish frame k-1, so
- * steady-state throughput approaches 1/max(stage) instead of
+ * DET->TRA, and at depth >= 2 the executor additionally overlaps
+ * *frames*: DET on frame k runs while TRA/FUSION/MOTPLAN finish frame
+ * k-1, so steady-state throughput approaches 1/max(stage) instead of
  * 1/sum(stages).
  *
  * The machine this repo targets is allowed to have a single core, so
@@ -15,7 +15,8 @@
  *   start(k, s) = max(admit(k), free(s), inputs-of-s done on k)
  *
  * yields the makespan a pipelined machine would see. The serial
- * reference is the same measured durations summed end to end.
+ * reference is the depth-1 run's measured durations summed end to
+ * end.
  *
  * Two phases per depth in {1, 2, 3}, governor active throughout:
  *
@@ -26,10 +27,10 @@
  *    executor is bottleneck-bound, and throughput = frames /
  *    virtual makespan approaches 1/max(stage).
  *
- * Determinism is part of the acceptance: depth 1 must produce
- * bitwise-identical outputs to the serial path, and every depth must
- * produce identical outputs across schedule seeds (the virtual
- * timeline is schedule-independent). `bitwise_identical` in the JSON
+ * Determinism is part of the acceptance: every depth must produce
+ * identical outputs across schedule seeds (the virtual timeline is
+ * schedule-independent), and depth 1 must also reproduce the serial
+ * reference run (seed 0) bit for bit. `bitwise_identical` in the JSON
  * is the AND of both checks for the row's depth.
  *
  * The detector is sized (input 256, width 0.35) so DET and LOC carry
@@ -214,12 +215,10 @@ benchParams(const Course& course, double budgetMs)
 
 RunResult
 runOnce(const Course& course, const std::vector<Image>& frames,
-        double dt, double budgetMs, bool async, int depth,
-        std::uint64_t scheduleSeed)
+        double dt, double budgetMs, int depth, std::uint64_t scheduleSeed)
 {
     PipelineParams p = benchParams(course, budgetMs);
-    p.async = async;
-    p.asyncDepth = depth;
+    p.depth = depth;
     p.scheduleSeed = scheduleSeed;
 
     Pipeline pipe(&course.map, &course.camera, &course.graph, p);
@@ -249,11 +248,7 @@ runOnce(const Course& course, const std::vector<Image>& frames,
     r.checksum = sum.value();
     r.pipelined = pipe.pipelinedLatency().summary();
     r.e2e = pipe.endToEndLatency().summary();
-    if (pipe.asyncEnabled())
-        r.makespanMs =
-            pipe.executor()->lastCommitVirtualMs() - dt * 1000.0;
-    else
-        r.makespanMs = r.serialVirtualMs;
+    r.makespanMs = pipe.executor().lastCommitVirtualMs() - dt * 1000.0;
     r.detMeanMs = pipe.detLatency().summary().mean;
     r.traMeanMs = pipe.traLatency().summary().mean;
     r.locMeanMs = pipe.locLatency().summary().mean;
@@ -286,8 +281,8 @@ writeJson(const char* path, int framesPaced, int framesSaturated,
         return;
     }
     const double serialFps =
-        serialSat.makespanMs > 0
-            ? 1000.0 * framesSaturated / serialSat.makespanMs
+        serialSat.serialVirtualMs > 0
+            ? 1000.0 * framesSaturated / serialSat.serialVirtualMs
             : 0.0;
     std::fprintf(
         f,
@@ -308,7 +303,7 @@ writeJson(const char* path, int framesPaced, int framesSaturated,
         static_cast<unsigned long long>(seed), serialSat.detMeanMs,
         serialSat.traMeanMs, serialSat.locMeanMs,
         serialSat.fusionMeanMs, serialSat.motMeanMs, serialFps,
-        serialSat.makespanMs, serialPaced.pipelined.p9999,
+        serialSat.serialVirtualMs, serialPaced.pipelined.p9999,
         serialPaced.e2e.p9999, serialPaced.deadlineMisses);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const DepthRow& r = rows[i];
@@ -345,7 +340,7 @@ main(int argc, char** argv)
 
     bench::printHeader(
         "Frame-graph pipelining sweep (extension)",
-        "async executor vs serial composition on the virtual "
+        "executor depth 1-3 vs serial composition on the virtual "
         "timeline, governor active");
     std::printf("%d paced + %d saturated frames per run, budget "
                 "%.0f ms, seed %llu\n\n",
@@ -354,20 +349,20 @@ main(int argc, char** argv)
 
     Course* course = buildCourse(framesPaced, framesSaturated, seed);
 
-    // Serial references: paced for the latency bars, saturated for
-    // the throughput denominator.
-    const RunResult serialPaced = runOnce(
-        *course, course->pacedFrames, 0.1, budgetMs, false, 1, 0);
+    // Serial references, taken from depth-1 runs: paced for the
+    // latency bars, saturated for the throughput denominator (every
+    // stage duration summed end to end, no overlap at all).
+    const RunResult serialPaced =
+        runOnce(*course, course->pacedFrames, 0.1, budgetMs, 1, 0);
     const RunResult serialSat =
-        runOnce(*course, course->saturatedFrames, 0.005, budgetMs,
-                false, 1, 0);
+        runOnce(*course, course->saturatedFrames, 0.005, budgetMs, 1, 0);
     std::printf("stage means (ms): det %.2f  tra %.2f  loc %.2f  "
                 "fusion %.3f  motplan %.3f\n",
                 serialSat.detMeanMs, serialSat.traMeanMs,
                 serialSat.locMeanMs, serialSat.fusionMeanMs,
                 serialSat.motMeanMs);
     const double serialFps =
-        1000.0 * framesSaturated / serialSat.makespanMs;
+        1000.0 * framesSaturated / serialSat.serialVirtualMs;
     std::printf("serial: %.2f fps, paced p99.99 pipelined %.2f ms, "
                 "%lld deadline misses\n\n",
                 serialFps, serialPaced.pipelined.p9999,
@@ -379,15 +374,12 @@ main(int argc, char** argv)
     std::vector<DepthRow> rows;
     bool allOk = true;
     for (const int depth : {1, 2, 3}) {
-        const RunResult paced = runOnce(
-            *course, course->pacedFrames, 0.1, budgetMs, true, depth,
-            0);
-        const RunResult satA =
-            runOnce(*course, course->saturatedFrames, 0.005, budgetMs,
-                    true, depth, 1);
-        const RunResult satB =
-            runOnce(*course, course->saturatedFrames, 0.005, budgetMs,
-                    true, depth, 42);
+        const RunResult paced =
+            runOnce(*course, course->pacedFrames, 0.1, budgetMs, depth, 0);
+        const RunResult satA = runOnce(*course, course->saturatedFrames,
+                                       0.005, budgetMs, depth, 1);
+        const RunResult satB = runOnce(*course, course->saturatedFrames,
+                                       0.005, budgetMs, depth, 42);
 
         DepthRow row;
         row.depth = depth;
@@ -398,7 +390,7 @@ main(int argc, char** argv)
         row.e2eP9999Ms = paced.e2e.p9999;
         row.deadlineMisses = paced.deadlineMisses;
         // Schedule-seed invariance at every depth; depth 1 must also
-        // reproduce the serial path bit for bit.
+        // reproduce the seed-0 serial reference bit for bit.
         row.bitwiseIdentical = satA.checksum == satB.checksum &&
                                (depth != 1 ||
                                 satA.checksum == serialSat.checksum);

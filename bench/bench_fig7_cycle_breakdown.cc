@@ -61,7 +61,7 @@ main(int argc, char** argv)
         if (ego.pos.x > world.road().length - 25)
             ego.pos.x = 25;
         const sensors::Frame frame = camera.render(world, ego);
-        pipe.processFrame(frame.image, 0.1, scenario.ego.speed);
+        pipe.submitFrame(frame.image, 0.1, scenario.ego.speed);
     }
 
     const auto& c = pipe.cycleBreakdown();

@@ -65,7 +65,10 @@ main(int argc, char** argv)
     for (int i = 0; i < frames; ++i) {
         world.step(dt);
         const sensors::Frame frame = camera.render(world, ego.pose);
-        const auto out = pipe.processFrame(frame.image, dt, ego.speed);
+        // At the default pipeline.depth of 1 submitFrame returns
+        // exactly this frame's output.
+        const auto out =
+            pipe.submitFrame(frame.image, dt, ego.speed).front();
 
         // Close the loop: the pipeline's command drives the vehicle.
         const Pose2 prevPose = ego.pose;

@@ -69,8 +69,11 @@ main(int argc, char** argv)
         if (ego.pos.x > world.road().length - 20)
             ego.pos.x = 20; // loop the stretch
         const sensors::Frame frame = camera.render(world, ego);
-        const auto out = pipe.processFrame(frame.image, 0.1,
-                                           scenario.ego.speed);
+        // At the default pipeline.depth of 1 submitFrame returns
+        // exactly this frame's output.
+        const auto out =
+            pipe.submitFrame(frame.image, 0.1, scenario.ego.speed)
+                .front();
         localized += out.localization.ok;
         detections += static_cast<int>(out.detections.size());
     }

@@ -87,7 +87,9 @@ main(int argc, char** argv)
         }
 
         const sensors::Frame frame = camera.render(world, ego);
-        const auto out = pipe.processFrame(frame.image, 0.1, speed);
+        // At the default pipeline.depth of 1 submitFrame returns
+        // exactly this frame's output.
+        const auto out = pipe.submitFrame(frame.image, 0.1, speed).front();
 
         if (out.localization.relocalized) {
             ++relocalizations;

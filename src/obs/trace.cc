@@ -201,6 +201,9 @@ std::string
 TraceRecorder::chromeTraceJson() const
 {
     std::ostringstream os;
+    // Microsecond timestamps reach 1e6 after a second of tracing; the
+    // default 6 digits would round them to 10 us and break nesting.
+    os.precision(15);
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
     for (const auto& e : snapshot()) {

@@ -105,12 +105,11 @@ class TraceRecorder
     }
 
     /**
-     * Tag subsequent spans with a frame id. The serial pipeline sets
-     * this once per processFrame; spans on worker threads inherit it,
-     * which is correct while one frame is in flight at a time. When
-     * the async frame-graph executor overlaps frames it instead scopes
-     * each stage task with a ScopedTraceFrame, whose thread-local
-     * override takes precedence over this global.
+     * Tag subsequent spans with a frame id. The multi-camera rig sets
+     * this once per frame; spans on worker threads inherit it, which
+     * is correct while one frame is in flight at a time. The pipeline
+     * instead scopes each frame-graph stage with a ScopedTraceFrame,
+     * whose thread-local override takes precedence over this global.
      */
     void setFrame(std::int64_t frame)
     {
@@ -200,10 +199,11 @@ tracer()
 /**
  * RAII thread-local frame override for cross-thread span parenting.
  *
- * The async frame-graph executor runs stages of different frames on
- * the same worker pool concurrently, so a single global "current
- * frame" can no longer tag spans correctly. The executor wraps each
- * stage task in a ScopedTraceFrame; every span the task records
+ * At depth 2 or more the frame-graph executor runs stages of
+ * different frames on the same worker pool concurrently, so a single
+ * global "current frame" cannot tag spans correctly. The executor
+ * wraps each stage task in a ScopedTraceFrame; every span the task
+ * records
  * (including nested NN-layer spans on the same thread) resolves its
  * frame id from this override instead of the global, restoring the
  * previous override on destruction so nested scopes compose.

@@ -157,8 +157,13 @@ FrameGraphExecutor::FrameGraphExecutor(FrameGraph graph, Params params,
     if (auto err = graph_.validate())
         throw std::invalid_argument("FrameGraphExecutor: " + *err);
     if (params_.depth < 1)
-        params_.depth = 1;
-    pool_ = params_.pool ? params_.pool : &sharedWorkerPool();
+        throw std::invalid_argument(
+            "FrameGraphExecutor: depth must be >= 1, got " +
+            std::to_string(params_.depth));
+    // Depth 1 runs every stage on the submitting thread and never
+    // touches a pool, so a single-threaded caller starts no workers.
+    if (params_.depth > 1)
+        pool_ = params_.pool ? params_.pool : &sharedWorkerPool();
 
     const std::size_t n = graph_.stageCount();
     topo_ = graph_.topologicalOrder();
@@ -195,7 +200,7 @@ FrameGraphExecutor::~FrameGraphExecutor()
 std::int64_t
 FrameGraphExecutor::submit(double arrivalMs)
 {
-    std::vector<std::pair<int, std::int64_t>> overflow;
+    std::vector<Task> local;
     std::int64_t frame = 0;
     {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -216,10 +221,9 @@ FrameGraphExecutor::submit(double arrivalMs)
         for (std::size_t s = 0; s < graph_.stageCount(); ++s)
             if (graph_.inputs(static_cast<FrameGraph::StageId>(s)).empty())
                 inQueues_[s][0].tryPush(frame);
-        dispatchReadyLocked(overflow);
+        dispatchReadyLocked(local);
     }
-    for (const auto& [s, fr] : overflow)
-        runStage(s, fr);
+    runInline(std::move(local));
     return frame;
 }
 
@@ -252,41 +256,45 @@ FrameGraphExecutor::stageErrorCount() const
 }
 
 void
+FrameGraphExecutor::runInline(std::vector<Task> tasks)
+{
+    while (!tasks.empty()) {
+        std::vector<Task> next;
+        for (const auto& [s, f] : tasks)
+            taskDone(s, f, runStage(s, f), next);
+        tasks = std::move(next);
+    }
+}
+
+double
 FrameGraphExecutor::runStage(int stage, std::int64_t frame)
 {
-    double durMs = 0;
-    {
-        // Spans recorded by the stage body (and any nested NN-layer
-        // spans on this thread) tag this frame, not the global one.
-        obs::ScopedTraceFrame scope(frame);
-        try {
-            durMs = graph_.runStage(stage, frame);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr,
-                         "[frame_graph] stage %s threw on frame %lld: "
-                         "%s\n",
-                         graph_.stageName(stage).c_str(),
-                         static_cast<long long>(frame), e.what());
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stageErrors_;
-        } catch (...) {
-            std::fprintf(stderr,
-                         "[frame_graph] stage %s threw on frame "
-                         "%lld\n",
-                         graph_.stageName(stage).c_str(),
-                         static_cast<long long>(frame));
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stageErrors_;
-        }
+    // Spans recorded by the stage body (and any nested NN-layer spans
+    // on this thread) tag this frame, not the global one.
+    obs::ScopedTraceFrame scope(frame);
+    try {
+        return graph_.runStage(stage, frame);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr,
+                     "[frame_graph] stage %s threw on frame %lld: "
+                     "%s\n",
+                     graph_.stageName(stage).c_str(),
+                     static_cast<long long>(frame), e.what());
+    } catch (...) {
+        std::fprintf(stderr,
+                     "[frame_graph] stage %s threw on frame %lld\n",
+                     graph_.stageName(stage).c_str(),
+                     static_cast<long long>(frame));
     }
-    taskDone(stage, frame, durMs);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stageErrors_;
+    return 0.0;
 }
 
 void
 FrameGraphExecutor::taskDone(int stage, std::int64_t frame,
-                             double durMs)
+                             double durMs, std::vector<Task>& local)
 {
-    std::vector<std::pair<int, std::int64_t>> overflow;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto slot =
@@ -318,15 +326,12 @@ FrameGraphExecutor::taskDone(int stage, std::int64_t frame,
                         frame);
         }
         commitFinishedLocked();
-        dispatchReadyLocked(overflow);
+        dispatchReadyLocked(local);
     }
-    for (const auto& [s, fr] : overflow)
-        runStage(s, fr);
 }
 
 void
-FrameGraphExecutor::dispatchReadyLocked(
-    std::vector<std::pair<int, std::int64_t>>& overflow)
+FrameGraphExecutor::dispatchReadyLocked(std::vector<Task>& local)
 {
     struct Cand
     {
@@ -369,10 +374,16 @@ FrameGraphExecutor::dispatchReadyLocked(
         for (auto& q : inQueues_[si])
             q.tryPop();
         stageBusy_[si] = 1;
+        if (!pool_) {
+            // Inline, one stage at a time: its completion dispatches
+            // the next lowest-ranked ready stage.
+            local.emplace_back(c.stage, c.frame);
+            return;
+        }
         if (!pool_->submit([this, s = c.stage, f = c.frame] {
-                runStage(s, f);
+                runInline({{s, f}});
             }))
-            overflow.emplace_back(c.stage, c.frame);
+            local.emplace_back(c.stage, c.frame);
     }
 }
 

@@ -8,10 +8,12 @@
  * 2.4.2) holds each *frame* to the 100 ms budget, not the whole
  * pipeline to one frame at a time. FrameGraph makes that dataflow
  * explicit (stages declare their input edges by name), and
- * FrameGraphExecutor schedules ready stages onto the shared worker
- * pool so DET of frame k can overlap TRA/LOC/FUSION of frame k+1,
- * raising throughput toward 1/max(stage) while each frame's latency
- * still composes exactly as in the serial pipeline.
+ * FrameGraphExecutor runs it: at depth 1 every stage of a frame runs
+ * inline on the submitting thread, one frame at a time; at depth 2 or
+ * more ready stages go to the shared worker pool so DET of frame k
+ * can overlap TRA/LOC/FUSION of frame k+1, raising throughput toward
+ * 1/max(stage) while each frame's latency still composes exactly as
+ * at depth 1.
  *
  * Determinism contract: all virtual-timeline arithmetic (stage start,
  * duration, commit time) depends only on submit order and the stage
@@ -139,8 +141,10 @@ class FrameGraph
 
 /**
  * Pipelined executor: runs a FrameGraph over a stream of frames with
- * up to `depth` frames in flight, scheduling every ready stage onto a
- * shared ThreadPool.
+ * up to `depth` frames in flight. At depth 1 submit() runs the frame's
+ * stages inline, one at a time in (frame, topological rank) order, and
+ * returns once the frame has committed; no pool is used. At depth 2 or
+ * more every ready stage is scheduled onto a shared ThreadPool.
  *
  * Each graph edge carries a bounded FIFO of frame ids (capacity =
  * depth); a stage is *ready* when every input edge has its next frame
@@ -155,10 +159,10 @@ class FrameGraph
  *
  * Ordering guarantees (the determinism backbone): the admit callback
  * runs in submit order on the submitting thread; the commit callback
- * runs in frame order on whichever worker completes the frame; both
- * run under the executor lock, so all cross-stage shared state that
- * is mutated only in admit/commit is updated in a schedule-independent
- * order.
+ * runs in frame order on whichever thread completes the frame (the
+ * submitting thread at depth 1); both run under the executor lock, so
+ * all cross-stage shared state that is mutated only in admit/commit is
+ * updated in a schedule-independent order.
  */
 class FrameGraphExecutor
 {
@@ -166,8 +170,11 @@ class FrameGraphExecutor
     /** Executor configuration. */
     struct Params
     {
-        /** Max frames in flight (>= 1); 1 degenerates to serial. */
-        int depth = 2;
+        /**
+         * Max frames in flight (>= 1). 1 runs each frame inline on
+         * the submitting thread; more overlaps frames on the pool.
+         */
+        int depth = 1;
         /**
          * Seed for the dispatch-order shuffle. 0 dispatches ready
          * stages in (frame, topological index) order; any other value
@@ -175,7 +182,10 @@ class FrameGraphExecutor
          * timeline) so tests can prove schedule independence.
          */
         std::uint64_t scheduleSeed = 0;
-        /** Worker pool; nullptr uses ad::sharedWorkerPool(). */
+        /**
+         * Worker pool at depth >= 2; nullptr uses
+         * ad::sharedWorkerPool(). Never used at depth 1.
+         */
         ThreadPool* pool = nullptr;
     };
 
@@ -212,7 +222,8 @@ class FrameGraphExecutor
      * @param params depth / seed / pool configuration.
      * @param admit per-frame admission hook (may be empty).
      * @param commit per-frame commit hook (may be empty).
-     * @throws std::invalid_argument when the graph fails validation.
+     * @throws std::invalid_argument when the graph fails validation
+     *         or the depth is below 1.
      */
     FrameGraphExecutor(FrameGraph graph, Params params, AdmitFn admit,
                        CommitFn commit);
@@ -226,7 +237,8 @@ class FrameGraphExecutor
     /**
      * Submit the next frame, blocking while `depth` frames are in
      * flight. Runs the admit hook, then enqueues the frame at every
-     * root stage.
+     * root stage. At depth 1 the frame's stages run inline and the
+     * frame has committed when this returns.
      *
      * @param arrivalMs the frame's arrival on the virtual mission
      *        clock, in milliseconds; must be non-decreasing.
@@ -260,19 +272,33 @@ class FrameGraphExecutor
         std::size_t stagesDone = 0;
     };
 
-    /** Run stage body outside the lock, then record completion. */
-    void runStage(int stage, std::int64_t frame);
-
-    /** Record a finished stage run and advance the graph. */
-    void taskDone(int stage, std::int64_t frame, double durMs);
+    /** One stage run: (stage id, frame id). */
+    using Task = std::pair<int, std::int64_t>;
 
     /**
-     * Dispatch every ready stage to the pool. Tasks the pool refuses
-     * (shutdown) are appended to @p overflow for inline execution by
-     * the caller after releasing the lock.
+     * Run @p tasks on the calling thread, outside the lock, plus every
+     * task their completion hands back, until none is left.
      */
-    void dispatchReadyLocked(
-        std::vector<std::pair<int, std::int64_t>>& overflow);
+    void runInline(std::vector<Task> tasks);
+
+    /** Run a stage body; returns its virtual cost (0 if it threw). */
+    double runStage(int stage, std::int64_t frame);
+
+    /**
+     * Record a finished stage run and advance the graph; tasks to run
+     * on this thread are appended to @p local.
+     */
+    void taskDone(int stage, std::int64_t frame, double durMs,
+                  std::vector<Task>& local);
+
+    /**
+     * Dispatch ready stages in (frame, topological rank) order, or
+     * shuffled under a schedule seed. At depth 1 only the first is
+     * dispatched, appended to @p local; at depth >= 2 every ready
+     * stage goes to the pool, and tasks the pool refuses (shutdown)
+     * are appended to @p local.
+     */
+    void dispatchReadyLocked(std::vector<Task>& local);
 
     /** Commit finished frames in order; notifies waiters. */
     void commitFinishedLocked();
@@ -281,7 +307,7 @@ class FrameGraphExecutor
     Params params_;
     AdmitFn admit_;
     CommitFn commit_;
-    ThreadPool* pool_ = nullptr;
+    ThreadPool* pool_ = nullptr; ///< null at depth 1 (inline).
 
     std::vector<int> topo_;       ///< stage ids in topological order.
     std::vector<int> topoIndex_;  ///< stage id -> topological rank.

@@ -1,5 +1,6 @@
 #include "pipeline/pipeline.hh"
 
+#include "common/logging.hh"
 #include "common/time.hh"
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
@@ -33,6 +34,16 @@ applyNnOverrides(PipelineParams p)
     return p;
 }
 
+/** Reject a bad `pipeline.depth` before any engine is built. */
+PipelineParams
+validated(PipelineParams p)
+{
+    if (p.depth < 1)
+        fatal("config key 'pipeline.depth': must be >= 1, got ",
+              p.depth);
+    return p;
+}
+
 /** Virtual spike milliseconds injected on one stage this frame. */
 double
 spikeOn(const FaultPlan& fault, obs::Stage stage)
@@ -46,7 +57,7 @@ Pipeline::Pipeline(const slam::PriorMap* map,
                    const sensors::Camera* camera,
                    const planning::RoadGraph* roadGraph,
                    const PipelineParams& params)
-    : params_(applyNnOverrides(params)), camera_(camera),
+    : params_(validated(applyNnOverrides(params))), camera_(camera),
       detector_(params_.detector), trackerPool_(params_.trackerPool),
       localizer_(map, camera, params_.localizer), fusion_(camera),
       controller_(params_.control), deadline_(params_.deadline)
@@ -63,17 +74,15 @@ Pipeline::Pipeline(const slam::PriorMap* map,
         degradedDetector_.emplace(params_.detector.scaledInput(
             params_.governor.degradedDetScale));
     }
-    if (params_.async)
-        setupExecutor();
+    setupExecutor();
 }
 
 void
 Pipeline::reset(const Pose2& pose, const Vec2& velocity,
                 const Vec2& destination)
 {
-    if (exec_) {
-        exec_->drain();
-        exec_.reset();
+    exec_->drain();
+    {
         std::lock_guard<std::mutex> lock(readyMutex_);
         ready_.clear();
     }
@@ -88,21 +97,15 @@ Pipeline::reset(const Pose2& pose, const Vec2& velocity,
     lastDetections_.clear();
     detStaleFrames_ = 0;
     locStaleFrames_ = 0;
-    if (params_.async)
-        setupExecutor();
+    setupExecutor();
 }
 
 void
 Pipeline::feedOdometry(const sensors::OdometryReading& odometry)
 {
-    if (exec_) {
-        // Applied by the next submitted frame's LOC stage, in frame
-        // order, so async runs see the readings exactly where a
-        // serial run would.
-        pendingOdom_.push_back(odometry);
-        return;
-    }
-    localizer_.feedOdometry(odometry);
+    // Applied by the next submitted frame's LOC stage, so the reading
+    // lands between the same two frames at every depth.
+    pendingOdom_.push_back(odometry);
 }
 
 FrameGraph
@@ -113,62 +116,71 @@ Pipeline::buildGraph()
     // TRA with LOC, and planning consumes the fused scene plus the
     // pose. Each stage fn returns its virtual cost so the executor's
     // timeline composes exactly like endToEndMs().
-    auto job = [this](std::int64_t f) -> FrameJob& {
-        return jobs_[static_cast<std::size_t>(f % depth_)];
+    //
+    // onJob runs a body on frame f's job slot, tagging the spans it
+    // records with the pipeline frame id (the executor's own ids
+    // restart with every reset()).
+    const auto onJob = [this](auto body) {
+        return [this, body](std::int64_t f) {
+            FrameJob& j = slot(f);
+            obs::ScopedTraceFrame frame(j.id);
+            return body(j);
+        };
     };
     FrameGraph g;
-    senseStage_ = g.addStage("SENSE", {}, [this, job](std::int64_t f) {
-        stageSense(job(f));
-        return 0.0;
-    });
-    detStage_ =
-        g.addStage("DET", {"SENSE"}, [this, job](std::int64_t f) {
-            FrameJob& j = job(f);
-            stageDet(j);
-            return j.out.latencies.detMs;
-        });
-    locStage_ =
-        g.addStage("LOC", {"SENSE"}, [this, job](std::int64_t f) {
-            FrameJob& j = job(f);
-            stageLoc(j);
-            return j.out.latencies.locMs;
-        });
-    traStage_ = g.addStage("TRA", {"SENSE", "DET"},
-                           [this, job](std::int64_t f) {
-                               FrameJob& j = job(f);
-                               stageTra(j);
-                               return j.out.latencies.traMs;
-                           });
-    fusionStage_ = g.addStage("FUSION", {"TRA", "LOC"},
-                              [this, job](std::int64_t f) {
-                                  FrameJob& j = job(f);
-                                  stageFusion(j);
-                                  return j.out.latencies.fusionMs;
-                              });
-    planStage_ = g.addStage("MOTPLAN", {"FUSION", "LOC"},
-                            [this, job](std::int64_t f) {
-                                FrameJob& j = job(f);
-                                stagePlan(j);
-                                return j.out.latencies.motPlanMs;
-                            });
+    g.addStage("SENSE", {}, onJob([this](FrameJob& j) {
+                   stageSense(j);
+                   return 0.0;
+               }));
+    detStage_ = g.addStage("DET", {"SENSE"}, onJob([this](FrameJob& j) {
+                               stageDet(j);
+                               return j.out.latencies.detMs;
+                           }));
+    locStage_ = g.addStage("LOC", {"SENSE"}, onJob([this](FrameJob& j) {
+                               stageLoc(j);
+                               return j.out.latencies.locMs;
+                           }));
+    traStage_ =
+        g.addStage("TRA", {"SENSE", "DET"}, onJob([this](FrameJob& j) {
+                       stageTra(j);
+                       return j.out.latencies.traMs;
+                   }));
+    fusionStage_ =
+        g.addStage("FUSION", {"TRA", "LOC"}, onJob([this](FrameJob& j) {
+                       stageFusion(j);
+                       return j.out.latencies.fusionMs;
+                   }));
+    planStage_ =
+        g.addStage("MOTPLAN", {"FUSION", "LOC"}, onJob([this](FrameJob& j) {
+                       stagePlan(j);
+                       return j.out.latencies.motPlanMs;
+                   }));
     return g;
+}
+
+Pipeline::FrameJob&
+Pipeline::slot(std::int64_t execFrame)
+{
+    return jobs_[static_cast<std::size_t>(execFrame % params_.depth)];
 }
 
 void
 Pipeline::setupExecutor()
 {
-    depth_ = std::max(1, params_.asyncDepth);
-    jobs_ = std::vector<FrameJob>(static_cast<std::size_t>(depth_));
+    // The old executor drains on destruction before the job ring it
+    // reads is replaced.
+    exec_.reset();
+    jobs_ = std::vector<FrameJob>(static_cast<std::size_t>(params_.depth));
     planQueue_.clear();
     // Pre-stage the first `depth` plans from the governor's current
     // (fully observed, nothing in flight) state; commits keep the
     // queue topped up from then on.
     if (governor_)
-        for (int i = 0; i < depth_; ++i)
+        for (int i = 0; i < params_.depth; ++i)
             planQueue_.push_back(governor_->plan(frameIndex_ + i));
 
     FrameGraphExecutor::Params ep;
-    ep.depth = depth_;
+    ep.depth = params_.depth;
     ep.scheduleSeed = params_.scheduleSeed;
     exec_ = std::make_unique<FrameGraphExecutor>(
         buildGraph(), ep,
@@ -176,8 +188,7 @@ Pipeline::setupExecutor()
         // frame's fault plan and pop its staged governor plan -- the
         // seeded draws happen in frame order whatever the workers do.
         [this](std::int64_t execFrame) {
-            FrameJob& job =
-                jobs_[static_cast<std::size_t>(execFrame % depth_)];
+            FrameJob& job = slot(execFrame);
             job = FrameJob{};
             job.id = frameIndex_++;
             job.dt = pendingDt_;
@@ -202,76 +213,35 @@ Pipeline::setupExecutor()
         // epilogue plus staging the plan for frame id + depth.
         [this](std::int64_t execFrame,
                const FrameGraphExecutor::FrameTiming& timing) {
-            FrameJob& job =
-                jobs_[static_cast<std::size_t>(execFrame % depth_)];
-            commitJob(job, &timing);
+            FrameJob& job = slot(execFrame);
+            commitJob(job, timing);
             std::lock_guard<std::mutex> lock(readyMutex_);
             ready_.push_back(std::move(job.out));
         });
 }
 
-FrameOutput
-Pipeline::processFrame(const Image& image, double dt, double egoSpeed)
-{
-    FrameJob job;
-    time_ += dt;
-    job.id = frameIndex_++;
-    job.dt = dt;
-    job.egoSpeed = egoSpeed;
-    job.timeS = time_;
-    job.frame = &image;
-    job.out.frameId = job.id;
-    auto& tracerRef = obs::tracer();
-    if (tracerRef.enabled())
-        tracerRef.setFrame(job.id);
-    obs::TraceSpan frameSpan(tracerRef, "FRAME", "frame", job.id);
-
-    // Fault plan for this frame (a fixed number of seeded draws) and
-    // the governor's actuation plan. With both subsystems disabled
-    // this degenerates to "run everything", the pre-governor flow.
-    job.fault = faults_ ? faults_->planFrame() : FaultPlan{};
-    job.plan = governor_ ? governor_->plan(job.id) : FramePlan{};
-    job.out.mode = job.plan.mode;
-    job.out.frameDropped = job.fault.dropFrame;
-
-    stageSense(job);
-    stageDet(job);
-    stageLoc(job);
-    stageTra(job);
-    stageFusion(job);
-    stagePlan(job);
-    commitJob(job, nullptr);
-    return std::move(job.out);
-}
-
 std::vector<FrameOutput>
 Pipeline::submitFrame(const Image& image, double dt, double egoSpeed)
 {
-    std::vector<FrameOutput> outs;
-    if (!exec_) {
-        outs.push_back(processFrame(image, dt, egoSpeed));
-        return outs;
-    }
     time_ += dt;
     pendingImage_ = &image;
     pendingDt_ = dt;
     pendingSpeed_ = egoSpeed;
     exec_->submit(time_ * 1000.0);
-    std::lock_guard<std::mutex> lock(readyMutex_);
-    while (!ready_.empty()) {
-        outs.push_back(std::move(ready_.front()));
-        ready_.pop_front();
-    }
-    return outs;
+    return takeReady();
 }
 
 std::vector<FrameOutput>
 Pipeline::drainAsync()
 {
-    std::vector<FrameOutput> outs;
-    if (!exec_)
-        return outs;
     exec_->drain();
+    return takeReady();
+}
+
+std::vector<FrameOutput>
+Pipeline::takeReady()
+{
+    std::vector<FrameOutput> outs;
     std::lock_guard<std::mutex> lock(readyMutex_);
     while (!ready_.empty()) {
         outs.push_back(std::move(ready_.front()));
@@ -445,25 +415,19 @@ Pipeline::stagePlan(FrameJob& job)
 
 void
 Pipeline::commitJob(FrameJob& job,
-                    const FrameGraphExecutor::FrameTiming* timing)
+                    const FrameGraphExecutor::FrameTiming& timing)
 {
     FrameOutput& out = job.out;
     const std::int64_t frameId = job.id;
 
-    // Async mode has no enclosing TraceSpan (stages record their own
-    // spans from pool threads); emit the wall-clock
-    // admission-to-commit FRAME span here instead.
-    if (timing) {
-        auto& tracerRef = obs::tracer();
-        if (tracerRef.enabled())
-            tracerRef.record("FRAME", "frame", job.traceStartUs,
-                             tracerRef.nowUs() - job.traceStartUs,
-                             frameId);
-    }
+    // The wall-clock FRAME trace span: admission to commit.
+    auto& tracerRef = obs::tracer();
+    if (tracerRef.enabled())
+        tracerRef.record("FRAME", "frame", job.traceStartUs,
+                         tracerRef.nowUs() - job.traceStartUs, frameId);
 
     // Bounded-staleness escalation surfaced by the LOC stage; raised
-    // here so the transition lands before this frame's observe(),
-    // exactly where the serial flow raised it.
+    // here so the transition lands before this frame's observe().
     if (governor_ && job.locStaleExceeded)
         governor_->forceSafeStop(frameId, "stale:LOC");
 
@@ -482,8 +446,7 @@ Pipeline::commitJob(FrameJob& job,
     fusionRec_.record(out.latencies.fusionMs);
     motRec_.record(out.latencies.motPlanMs);
     e2eRec_.record(out.latencies.endToEndMs());
-    out.pipelinedMs = timing ? timing->commitMs - timing->arrivalMs
-                             : out.latencies.endToEndMs();
+    out.pipelinedMs = timing.commitMs - timing.arrivalMs;
     pipelinedRec_.record(out.pipelinedMs);
 
     // Deadline watchdog: every frame, whatever the obs switches say
@@ -492,7 +455,7 @@ Pipeline::commitJob(FrameJob& job,
     // the watchdog and governor see faults exactly as they would see
     // real stalls. Both consume the *composition* latency -- the
     // per-frame cost independent of pipelining -- so their decisions
-    // are identical across execution modes.
+    // are identical at every depth.
     const obs::FrameLatencySample sample{
         out.latencies.detMs, out.latencies.traMs, out.latencies.locMs,
         out.latencies.fusionMs, out.latencies.motPlanMs};
@@ -503,17 +466,13 @@ Pipeline::commitJob(FrameJob& job,
     // Flight recorder: the frame's history on the pipeline's virtual
     // timeline (ms of simulated time), so a deterministic run yields
     // a deterministic post-mortem. Purely observational -- nothing
-    // the engines read is touched. The async path emits the same six
-    // spans per frame (event conservation), positioned at the
-    // executor's virtual stage times instead of the serial layout.
+    // the engines read is touched. Six spans per frame at the
+    // executor's virtual stage times: admission shift plus
+    // cross-frame stage contention, the actual pipelined schedule.
     auto& fl = obs::flight();
     if (fl.enabled()) {
-        auto& tracerRef = obs::tracer();
         const double t0 = job.timeS * 1000.0;
         const double e2e = out.latencies.endToEndMs();
-        const double perception = std::max(
-            out.latencies.locMs,
-            out.latencies.detMs + out.latencies.traMs);
         // DET->TRA chain on track 1, LOC on track 2: the parallel
         // perception branches partially overlap on the shared
         // timeline, so each branch nests on its own track.
@@ -524,34 +483,19 @@ Pipeline::commitJob(FrameJob& job,
             double dur;
             int track;
         };
-        SpanRow spans[] = {
-            {"FRAME", t0, e2e, 0},
-            {"DET", t0, out.latencies.detMs, 1},
-            {"TRA", t0 + out.latencies.detMs, out.latencies.traMs, 1},
-            {"LOC", t0, out.latencies.locMs, 2},
-            {"FUSION", t0 + perception, out.latencies.fusionMs, 0},
-            {"MOTPLAN", t0 + perception + out.latencies.fusionMs,
-             out.latencies.motPlanMs, 0},
+        auto stage = [&](const char* name, int id, int track) {
+            const auto& t = timing.stages[static_cast<std::size_t>(id)];
+            return SpanRow{name, t.startMs, t.durMs, track};
         };
-        if (timing) {
-            // Executor placement: admission shift plus cross-frame
-            // stage contention, the actual pipelined schedule.
-            auto at = [&](int stage) {
-                return timing->stages[static_cast<std::size_t>(stage)];
-            };
-            spans[0].start = timing->admitMs;
-            spans[0].dur = timing->commitMs - timing->admitMs;
-            spans[1].start = at(detStage_).startMs;
-            spans[1].dur = at(detStage_).durMs;
-            spans[2].start = at(traStage_).startMs;
-            spans[2].dur = at(traStage_).durMs;
-            spans[3].start = at(locStage_).startMs;
-            spans[3].dur = at(locStage_).durMs;
-            spans[4].start = at(fusionStage_).startMs;
-            spans[4].dur = at(fusionStage_).durMs;
-            spans[5].start = at(planStage_).startMs;
-            spans[5].dur = at(planStage_).durMs;
-        }
+        const SpanRow spans[] = {
+            {"FRAME", timing.admitMs, timing.commitMs - timing.admitMs,
+             0},
+            stage("DET", detStage_, 1),
+            stage("TRA", traStage_, 1),
+            stage("LOC", locStage_, 2),
+            stage("FUSION", fusionStage_, 0),
+            stage("MOTPLAN", planStage_, 0),
+        };
         const bool perfOn = tracerRef.perfSpansEnabled();
         for (const auto& sp : spans) {
             fl.recordSpan(0, sp.name, frameId, sp.start, sp.dur,
@@ -624,8 +568,8 @@ Pipeline::commitJob(FrameJob& job,
 
     // Stage the governor plan for the frame `depth` ahead, computed
     // with exactly the feedback available now (frames <= this one).
-    if (timing && governor_)
-        planQueue_.push_back(governor_->plan(frameId + depth_));
+    if (governor_)
+        planQueue_.push_back(governor_->plan(frameId + params_.depth));
 }
 
 } // namespace ad::pipeline

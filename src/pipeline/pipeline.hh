@@ -12,13 +12,13 @@
  * composes as max(LOC, DET + TRA) + FUSION + MOTPLAN, reflecting the
  * parallel branches.
  *
- * Two execution modes share the same stage bodies: the serial path
- * (processFrame) runs the stages in topological order on the calling
- * thread, and the async path (`pipeline.async`, submitFrame) runs
- * them through the frame-graph executor (frame_graph.hh) so stages
- * of up to `pipeline.depth` consecutive frames overlap. Outputs are
- * bitwise-identical across modes at depth 1 and deterministic at
- * every depth, worker count, and schedule seed.
+ * Every frame runs through the frame-graph executor (frame_graph.hh)
+ * over one declared stage DAG. At `pipeline.depth` 1 (the default)
+ * each frame runs to completion on the calling thread, stages in
+ * topological order; at depth D >= 2 stages of up to D consecutive
+ * frames overlap on the worker pool. Outputs are deterministic at
+ * every depth, worker count, and schedule seed, and with the governor
+ * off they are bitwise-identical across depths.
  */
 
 #ifndef AD_PIPELINE_PIPELINE_HH
@@ -106,24 +106,18 @@ struct PipelineParams
     FaultInjectorParams faults;
 
     /**
-     * The `pipeline.async` knob: run frames through the frame-graph
-     * executor (pipeline/frame_graph.hh) so stages of consecutive
-     * frames overlap -- DET of frame k runs while TRA/LOC/FUSION of
-     * frame k+1 are in flight. Off by default (the serial path). The
-     * async path is bitwise-identical to serial at depth 1 and
-     * deterministic (schedule-independent) at every depth; the
-     * governor's actuation plan lags its serial counterpart by
-     * depth-1 frames of feedback (see docs/DESIGN.md).
+     * The `pipeline.depth` knob: max frames in flight (>= 1). 1 (the
+     * default) runs each frame to completion on the calling thread,
+     * so submitFrame() returns exactly that frame's output. D >= 2
+     * overlaps stages of consecutive frames on the worker pool -- DET
+     * of frame k runs while TRA/LOC/FUSION of frame k-1 are in flight
+     * -- and outputs trail submissions by up to D-1 frames. Each
+     * graph edge buffers at most D frames, so admission backpressure
+     * is bounded. Outputs are deterministic (schedule-independent) at
+     * every depth; the governor's actuation plan lags by D-1 frames
+     * of feedback (see DESIGN.md).
      */
-    bool async = false;
-
-    /**
-     * The `pipeline.depth` knob: max frames in flight when
-     * `async` is set (>= 1; 1 degenerates to serial scheduling with
-     * the async machinery). Each graph edge buffers at most this many
-     * frames, so admission backpressure is bounded.
-     */
-    int asyncDepth = 2;
+    int depth = 1;
 
     /**
      * The `pipeline.seed` knob: seed for the executor's dispatch-order
@@ -195,8 +189,7 @@ struct FrameOutput
     /**
      * The frame's pipelined latency on the virtual timeline: commit
      * minus arrival, which includes queueing behind earlier in-flight
-     * frames. Equals latencies.endToEndMs() on the serial path and in
-     * an unloaded async pipeline.
+     * frames. Equals latencies.endToEndMs() when frames do not queue.
      */
     double pipelinedMs = 0;
 };
@@ -224,47 +217,35 @@ class Pipeline
                const Vec2& destination);
 
     /**
-     * Provide wheel odometry for the interval before the next frame;
-     * forwarded to the localization engine's motion model. In async
-     * mode the reading is buffered and applied by the next submitted
-     * frame's LOC stage, preserving the serial ordering.
+     * Provide wheel odometry for the interval before the next frame.
+     * The reading is buffered and applied to the localization
+     * engine's motion model by the next submitted frame's LOC stage.
      */
     void feedOdometry(const sensors::OdometryReading& odometry);
 
     /**
-     * Process one camera frame through all engines, serially. Must
-     * not be mixed with submitFrame() when `pipeline.async` is set --
-     * it bypasses the executor's stage ordering.
+     * Run one camera frame through all engines: the single per-frame
+     * entry point. Blocks while `pipeline.depth` frames are in flight
+     * and returns every frame that has committed since the last call,
+     * in frame order. At depth 1 that is exactly this frame's output;
+     * at depth D it is zero or more outputs trailing submissions by
+     * up to D-1 frames.
      *
-     * @param image the frame.
+     * @param image the frame; copied, so it may be reused on return.
      * @param dt seconds since the previous frame.
      * @param egoSpeed current ego speed (for the controller).
-     */
-    FrameOutput processFrame(const Image& image, double dt,
-                             double egoSpeed);
-
-    /**
-     * Submit one frame to the async frame-graph executor, blocking
-     * while `pipeline.depth` frames are in flight, and collect every
-     * frame that has committed since the last call (zero or more,
-     * in frame order; outputs trail submissions by up to the depth).
-     * Falls back to processFrame() when async mode is off, returning
-     * that single output.
      */
     std::vector<FrameOutput> submitFrame(const Image& image, double dt,
                                          double egoSpeed);
 
     /**
      * Block until every submitted frame has committed and return the
-     * remaining outputs in frame order (empty in serial mode).
+     * remaining outputs in frame order (always empty at depth 1).
      */
     std::vector<FrameOutput> drainAsync();
 
-    /** True when the async frame-graph executor is active. */
-    bool asyncEnabled() const { return exec_ != nullptr; }
-
-    /** The async executor, or null in serial mode (for benchmarks). */
-    const FrameGraphExecutor* executor() const { return exec_.get(); }
+    /** The frame-graph executor (for benchmarks). */
+    const FrameGraphExecutor& executor() const { return *exec_; }
 
     /** Per-stage latency recorders over all processed frames. */
     const LatencyRecorder& detLatency() const { return detRec_; }
@@ -276,7 +257,8 @@ class Pipeline
 
     /**
      * Pipelined (commit minus arrival) latency per frame on the
-     * virtual timeline; matches endToEndLatency() on the serial path.
+     * virtual timeline; matches endToEndLatency() when frames do not
+     * queue.
      */
     const LatencyRecorder& pipelinedLatency() const
     {
@@ -335,7 +317,7 @@ class Pipeline
         double dt = 0;            ///< seconds since previous frame.
         double egoSpeed = 0;      ///< ego speed for the controller.
         double timeS = 0;         ///< mission clock at this frame (s).
-        Image image;              ///< owned copy (async mode only).
+        Image image;              ///< owned copy of the submitted frame.
         const Image* frame = nullptr; ///< input after SENSE.
         Image corrupted;          ///< corrupted copy when a fault fired.
         FaultPlan fault;          ///< this frame's fault draws.
@@ -363,17 +345,22 @@ class Pipeline
     /**
      * Frame-ordered epilogue: safe-stop escalation, cycle and latency
      * aggregation, deadline/governor feedback, flight recorder and
-     * metrics. @p timing is the executor's virtual-timeline record
-     * (null on the serial path, which re-derives the serial layout).
+     * metrics. @p timing is the executor's virtual-timeline record.
      */
     void commitJob(FrameJob& job,
-                   const FrameGraphExecutor::FrameTiming* timing);
+                   const FrameGraphExecutor::FrameTiming& timing);
+
+    /** The job slot of executor frame @p execFrame. */
+    FrameJob& slot(std::int64_t execFrame);
 
     /** Declare the stage DAG over this pipeline's stage methods. */
     FrameGraph buildGraph();
 
     /** (Re)create the executor and pre-stage the first plans. */
     void setupExecutor();
+
+    /** Move every committed, uncollected output out, in frame order. */
+    std::vector<FrameOutput> takeReady();
 
     PipelineParams params_;
     const sensors::Camera* camera_;
@@ -409,14 +396,13 @@ class Pipeline
     /** Governor transitions already copied to the flight recorder. */
     std::size_t govTransitionsSeen_ = 0;
 
-    // --- Async frame-graph state (unused on the serial path). ---
-    int depth_ = 1;               ///< clamped pipeline.depth.
+    // --- Frame-graph state. ---
     std::vector<FrameJob> jobs_;  ///< ring, indexed frame % depth.
     /**
      * Staged governor plans: commit of frame j computes the plan for
      * frame j + depth (after observing j), and frame admission pops
-     * the front. At depth 1 this reproduces the serial plan stream
-     * exactly; at depth D the plan lags D-1 frames of feedback but is
+     * the front. At depth 1 the plan for frame k sees every frame
+     * before it; at depth D it lags D-1 frames of feedback but is
      * schedule-independent either way.
      */
     std::deque<FramePlan> planQueue_;
@@ -426,8 +412,8 @@ class Pipeline
     double pendingSpeed_ = 0;
     std::mutex readyMutex_;          ///< guards ready_ only.
     std::deque<FrameOutput> ready_;  ///< committed, not yet collected.
-    int senseStage_ = -1, detStage_ = -1, locStage_ = -1;
-    int traStage_ = -1, fusionStage_ = -1, planStage_ = -1;
+    int detStage_ = -1, locStage_ = -1, traStage_ = -1;
+    int fusionStage_ = -1, planStage_ = -1;
     /**
      * The executor; declared last so it is destroyed (and drained)
      * before any state its in-flight stage tasks touch.

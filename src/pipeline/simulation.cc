@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.hh"
+
 namespace ad::pipeline {
 
 Simulation::Simulation(const sensors::Scenario& scenario,
@@ -15,6 +17,11 @@ Simulation::Simulation(const sensors::Scenario& scenario,
       odometry_(params.odometrySeed),
       laneCenterY_(params.pipeline.laneCenterY)
 {
+    // Each frame's command drives the next frame's render, so every
+    // frame must commit before step() returns.
+    if (params.pipeline.depth != 1)
+        fatal("Simulation: the closed loop needs pipeline.depth 1, got ",
+              params.pipeline.depth);
     ego_.pose = scenario.ego.pose;
     ego_.speed = scenario.ego.speed;
     pipeline_.reset(ego_.pose, {ego_.speed, 0},
@@ -29,8 +36,9 @@ Simulation::step()
 
     const sensors::Frame frame =
         camera_->render(world_, ego_.pose, params_.conditions);
-    FrameOutput out = pipeline_.processFrame(frame.image, dt,
-                                             ego_.speed);
+    FrameOutput out =
+        std::move(pipeline_.submitFrame(frame.image, dt, ego_.speed)
+                      .front());
 
     // Close the loop: the command drives the bicycle model; odometry
     // over the executed motion feeds the next frame's prediction.

@@ -23,6 +23,7 @@ namespace ad::pipeline {
 /** Harness knobs. */
 struct SimulationParams
 {
+    /** Pipeline knobs; `depth` must stay 1 (the loop is closed). */
     PipelineParams pipeline;
     double dt = 0.1;              ///< frame period (10 fps).
     bool useOdometry = true;      ///< feed wheel odometry to LOC.

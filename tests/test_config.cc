@@ -177,8 +177,8 @@ TEST(Config, EveryRegisteredKnobIsDocumented)
     for (const char* k :
          {"scenario", "frames", "resolution", "seed", "csv",
           "det-input", "det-width", "summary", "length", "nn.threads",
-          "nn.precision", "nn.fuse", "nn.arena", "pipeline.async",
-          "pipeline.depth", "pipeline.seed"})
+          "nn.precision", "nn.fuse", "nn.arena", "pipeline.depth",
+          "pipeline.seed"})
         keys.push_back(k);
     for (const char* k :
          {"streams", "period-ms", "deadline-ms", "queue-depth",

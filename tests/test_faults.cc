@@ -201,7 +201,8 @@ class FaultDeterminismTest : public ::testing::Test
             ego.pos.x += scenario.ego.speed * 0.1;
             const sensors::Frame frame = camera.render(world, ego);
             const auto out =
-                pipe.processFrame(frame.image, 0.1, scenario.ego.speed);
+                pipe.submitFrame(frame.image, 0.1, scenario.ego.speed)
+                    .front();
             sig.push_back(static_cast<double>(out.mode));
             sig.push_back(out.frameDropped ? 1.0 : 0.0);
             sig.push_back(out.detRan ? 1.0 : 0.0);
@@ -306,7 +307,8 @@ TEST_F(FaultDeterminismTest, SafeStopBrakesAndRecovers)
         world.step(0.1);
         ego.pos.x += scenario.ego.speed * 0.1;
         const sensors::Frame frame = camera.render(world, ego);
-        return pipe.processFrame(frame.image, 0.1, scenario.ego.speed);
+        return pipe.submitFrame(frame.image, 0.1, scenario.ego.speed)
+            .front();
     };
 
     // Three straight misses walk NOMINAL -> ... -> SAFE_STOP; the

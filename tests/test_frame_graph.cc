@@ -4,15 +4,19 @@
  * executor: graph validation (duplicates, dangling edges, cycles),
  * the exact virtual-timeline recurrence, admission backpressure,
  * frame-ordered admit/commit callbacks, schedule independence across
- * worker counts and dispatch seeds, stage-exception containment, and
- * cross-thread trace-span frame tagging (ScopedTraceFrame).
+ * worker counts and dispatch seeds, stage-exception containment,
+ * cross-thread trace-span frame tagging (ScopedTraceFrame), depth-1
+ * inline execution, and rejection of a depth below 1.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -96,6 +100,109 @@ TEST(FrameGraphExecutorTest, RejectsInvalidGraphAtConstruction)
     g.addStage("A", {"A"}, [](std::int64_t) { return 0.0; });
     EXPECT_THROW(FrameGraphExecutor(g, {}, nullptr, nullptr),
                  std::invalid_argument);
+}
+
+TEST(FrameGraphExecutorTest, RejectsDepthBelowOne)
+{
+    FrameGraph g;
+    g.addStage("A", {}, [](std::int64_t) { return 0.0; });
+    for (const int depth : {0, -3}) {
+        FrameGraphExecutor::Params ep;
+        ep.depth = depth;
+        try {
+            FrameGraphExecutor exec(g, ep, nullptr, nullptr);
+            ADD_FAILURE() << "depth " << depth << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "got " + std::to_string(depth)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** The Figure 1 dataflow, each stage logging its name when it runs. */
+FrameGraph
+figure1Graph(std::vector<std::string>& ran,
+             std::vector<std::thread::id>& threads)
+{
+    FrameGraph g;
+    const auto stage = [&g, log = &ran, ids = &threads](
+                           const char* name,
+                           std::vector<std::string> inputs) {
+        g.addStage(name, std::move(inputs),
+                   [log, ids, name](std::int64_t) {
+                       log->push_back(name);
+                       ids->push_back(std::this_thread::get_id());
+                       return 1.0;
+                   });
+    };
+    stage("SENSE", {});
+    stage("DET", {"SENSE"});
+    stage("LOC", {"SENSE"});
+    stage("TRA", {"SENSE", "DET"});
+    stage("FUSION", {"TRA", "LOC"});
+    stage("MOTPLAN", {"FUSION", "LOC"});
+    return g;
+}
+
+TEST(FrameGraphExecutorTest, DepthOneRunsInlineInTopologicalOrder)
+{
+    // Depth 1 runs each frame on the submitting thread, stages in
+    // topological rank order, committed before submit() returns; the
+    // pool handed in is never used.
+    std::vector<std::string> ran;
+    std::vector<std::thread::id> threads;
+    ThreadPool pool(2);
+    FrameGraphExecutor::Params ep;
+    ep.depth = 1;
+    ep.pool = &pool;
+    FrameGraphExecutor exec(figure1Graph(ran, threads), ep, nullptr,
+                            nullptr);
+    const std::vector<std::string> order = {"SENSE", "DET",    "LOC",
+                                            "TRA",   "FUSION", "MOTPLAN"};
+    for (int f = 0; f < 3; ++f) {
+        ran.clear();
+        exec.submit(static_cast<double>(f));
+        EXPECT_EQ(exec.framesCommitted(), f + 1);
+        EXPECT_EQ(ran, order) << "frame " << f;
+    }
+    ASSERT_EQ(threads.size(), 3 * order.size());
+    for (const auto& id : threads)
+        EXPECT_EQ(id, std::this_thread::get_id());
+    EXPECT_EQ(pool.executedTaskCount(), 0u);
+}
+
+/** Threads in this process, from /proc (Linux). */
+int
+processThreadCount()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("Threads:", 0) == 0)
+            return std::atoi(line.c_str() + 8);
+    return -1;
+}
+
+TEST(FrameGraphExecutorTest, DepthOneStartsNoWorkerThreads)
+{
+    // In a fresh process (threadsafe style re-executes the binary, so
+    // no earlier test has started the shared pool), a default depth-1
+    // executor must not start the shared worker pool.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            const int before = processThreadCount();
+            std::vector<std::string> ran;
+            std::vector<std::thread::id> threads;
+            FrameGraphExecutor exec(figure1Graph(ran, threads), {},
+                                    nullptr, nullptr);
+            for (int f = 0; f < 4; ++f)
+                exec.submit(static_cast<double>(f));
+            const int after = processThreadCount();
+            std::exit(before > 0 && after == before ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 /** Two-stage chain with fixed costs: the recurrence by hand. */

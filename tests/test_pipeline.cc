@@ -4,9 +4,11 @@
  * the modeled-mode system explorer: full scenario drives exercising
  * every engine, the Figure 1 latency composition, the Figure 11/12
  * configuration machinery and the Section 2.4 constraint checker.
- * Also the async frame-graph execution mode: serial-vs-async bitwise
- * equivalence, determinism under faults + governor escalation while
- * frames overlap, and flight-recorder event conservation.
+ * Also the frame-graph executor across depths: depth 2-3 outputs
+ * bitwise-equal to depth 1 with odometry in the loop, the governor's
+ * plan lag, determinism under faults + governor escalation while
+ * frames overlap, flight-recorder event conservation, and rejection
+ * of a bad pipeline.depth.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "obs/json.hh"
 #include "pipeline/constraints.hh"
 #include "pipeline/pipeline.hh"
+#include "sensors/odometry.hh"
 #include "sensors/scenario.hh"
 #include "slam/mapping.hh"
 
@@ -114,8 +117,11 @@ TEST_F(PipelineIntegrationTest, DrivesScenarioEndToEnd)
         world.step(0.1);
         ego.pos.x += 1.0;
         const sensors::Frame frame = camera_->render(world, ego);
-        const FrameOutput out =
-            pipeline.processFrame(frame.image, 0.1, 10.0);
+        // Depth 1 (the default): exactly this frame's output.
+        const auto outs = pipeline.submitFrame(frame.image, 0.1, 10.0);
+        ASSERT_EQ(outs.size(), 1u);
+        const FrameOutput& out = outs.front();
+        EXPECT_EQ(out.frameId, i);
         localized += out.localization.ok;
         framesWithTracks += !out.tracks.empty();
         EXPECT_FALSE(out.trajectory.empty());
@@ -154,7 +160,7 @@ TEST_F(PipelineIntegrationTest, CycleBreakdownIsDnnAndFeDominated)
         world.step(0.1);
         ego.pos.x += 1.0;
         const sensors::Frame frame = camera_->render(world, ego);
-        pipeline.processFrame(frame.image, 0.1, 10.0);
+        pipeline.submitFrame(frame.image, 0.1, 10.0);
     }
     const auto& cycles = pipeline.cycleBreakdown();
     // Figure 7 shape: DNN dominates DET; FE dominates LOC.
@@ -180,7 +186,8 @@ TEST_F(PipelineIntegrationTest, DeterministicAcrossRuns)
             world.step(0.1);
             ego.pos.x += 1.0;
             const sensors::Frame frame = camera_->render(world, ego);
-            const auto out = pipe.processFrame(frame.image, 0.1, 10.0);
+            const auto out =
+                pipe.submitFrame(frame.image, 0.1, 10.0).front();
             poses.push_back(out.localization.pose.pos.x);
             poses.push_back(out.localization.pose.pos.y);
             detCounts.push_back(out.detections.size());
@@ -240,24 +247,32 @@ outputSignature(const FrameOutput& out)
 
 /**
  * Drive `frames` frames through one pipeline via the submit/drain
- * interface (which degrades to processFrame when async is off) and
- * return the per-frame signatures in frame order.
+ * interface, feeding a wheel-odometry reading before every frame, and
+ * return the per-frame signatures in frame order. @p modes and
+ * @p transitions, when given, receive each frame's operating mode and
+ * the governor's transition log.
  */
 std::vector<std::vector<double>>
 driveOutputs(const slam::PriorMap* map, const sensors::Camera* camera,
              const sensors::Scenario& scenario,
              const PipelineParams& params, int frames,
-             std::vector<OperatingMode>* modes = nullptr)
+             std::vector<OperatingMode>* modes = nullptr,
+             std::vector<ModeTransition>* transitions = nullptr)
 {
     Pipeline pipe(map, camera, nullptr, params);
     sensors::World world = scenario.world;
     Pose2 ego = scenario.ego.pose;
     pipe.reset(ego, {10, 0}, {140, params.laneCenterY});
+    sensors::WheelOdometry odometry(5);
 
     std::vector<FrameOutput> outs;
     for (int i = 0; i < frames; ++i) {
         world.step(0.1);
+        const Pose2 prev = ego;
         ego.pos.x += 1.0;
+        ego.theta += 0.002; // a gentle curve the motion model must see.
+        // Buffered until the next frame's LOC stage, at every depth.
+        pipe.feedOdometry(odometry.measure(prev, ego, 0.1));
         const sensors::Frame frame = camera->render(world, ego);
         for (auto& out : pipe.submitFrame(frame.image, 0.1, 10.0))
             outs.push_back(std::move(out));
@@ -275,30 +290,61 @@ driveOutputs(const slam::PriorMap* map, const sensors::Camera* camera,
         if (modes)
             modes->push_back(out.mode);
     }
+    if (transitions && pipe.governor())
+        *transitions = pipe.governor()->transitions();
     return sigs;
+}
+
+/**
+ * The governor's mode once it has observed every frame up to and
+ * including @p frame, replayed from its transition log (NOMINAL
+ * before the first transition).
+ */
+OperatingMode
+modeAfter(const std::vector<ModeTransition>& log, std::int64_t frame)
+{
+    OperatingMode mode = OperatingMode::Nominal;
+    for (const ModeTransition& t : log)
+        if (t.frame <= frame)
+            mode = t.to;
+    return mode;
+}
+
+/**
+ * The plan-lag contract at depth D: frame k runs in the mode the
+ * governor reached after observing frame k - D.
+ */
+void
+expectPlanLag(const std::vector<OperatingMode>& modes,
+              const std::vector<ModeTransition>& log, int depth)
+{
+    for (std::size_t k = 0; k < modes.size(); ++k)
+        EXPECT_EQ(modes[k],
+                  modeAfter(log, static_cast<std::int64_t>(k) - depth))
+            << "frame " << k << " depth " << depth;
 }
 
 TEST_F(PipelineIntegrationTest, AsyncMatrixMatchesSerialBitwise)
 {
-    // The tentpole determinism claim: with the governor off, the
-    // async executor produces bitwise-identical outputs to the
-    // serial path at every queue depth and kernel thread count --
-    // engine state advances in frame order regardless of how stage
-    // executions interleave on the virtual timeline.
+    // The tentpole determinism claim: with the governor off, depths 2
+    // and 3 overlap frames on the pool yet produce bitwise-identical
+    // outputs to depth 1 (one frame at a time on the caller's thread)
+    // at every kernel thread count -- engine state, odometry included,
+    // advances in frame order regardless of how stage executions
+    // interleave on the virtual timeline.
     const int frames = 6;
+    PipelineParams params = testParams();
+    params.laneCenterY = scenario_->world.road().laneCenter(1);
+    params.nnThreads = 1;
+    const auto reference =
+        driveOutputs(map_, camera_, *scenario_, params, frames);
+    ASSERT_EQ(reference.size(), static_cast<std::size_t>(frames));
     for (const int threads : {1, 2, 8}) {
-        PipelineParams params = testParams();
-        params.laneCenterY = scenario_->world.road().laneCenter(1);
         params.nnThreads = threads;
-        const auto serial =
-            driveOutputs(map_, camera_, *scenario_, params, frames);
-        ASSERT_EQ(serial.size(), static_cast<std::size_t>(frames));
         for (const int depth : {1, 2, 3}) {
-            params.async = true;
-            params.asyncDepth = depth;
-            const auto async = driveOutputs(map_, camera_, *scenario_,
-                                            params, frames);
-            EXPECT_EQ(serial, async)
+            params.depth = depth;
+            EXPECT_EQ(reference, driveOutputs(map_, camera_, *scenario_,
+                                              params, frames))
                 << "threads " << threads << " depth " << depth;
         }
     }
@@ -307,20 +353,22 @@ TEST_F(PipelineIntegrationTest, AsyncMatrixMatchesSerialBitwise)
 TEST_F(PipelineIntegrationTest, AsyncDepthOneWithGovernorMatchesSerial)
 {
     // At depth 1 the commit of frame k precedes the admission of
-    // frame k+1, so the governor's plan feedback has zero lag and
-    // the async path must reproduce the serial run bit for bit even
-    // with faults and the governor active.
+    // frame k+1, so the governor's plan feedback has zero lag: every
+    // frame runs in the mode the governor reached after the frame
+    // before it, the serial plan stream. An impossible budget makes
+    // every frame miss, so the run escalates deterministically.
     PipelineParams params = testParams();
     params.laneCenterY = scenario_->world.road().laneCenter(1);
     params.faults = FaultInjectorParams::scaledMix(0.5, 7);
     params.governor.enabled = true;
-    const auto serial =
-        driveOutputs(map_, camera_, *scenario_, params, 8);
-    params.async = true;
-    params.asyncDepth = 1;
-    const auto async =
-        driveOutputs(map_, camera_, *scenario_, params, 8);
-    EXPECT_EQ(serial, async);
+    params.governor.budgetMs = 0.5;
+
+    std::vector<OperatingMode> modes;
+    std::vector<ModeTransition> log;
+    driveOutputs(map_, camera_, *scenario_, params, 8, &modes, &log);
+    ASSERT_EQ(modes.size(), 8u);
+    EXPECT_FALSE(log.empty());
+    expectPlanLag(modes, log, 1);
 }
 
 TEST_F(PipelineIntegrationTest, AsyncEscalationMidOverlapDeterministic)
@@ -335,12 +383,12 @@ TEST_F(PipelineIntegrationTest, AsyncEscalationMidOverlapDeterministic)
     params.faults = FaultInjectorParams::scaledMix(0.4, 11);
     params.governor.enabled = true;
     params.governor.budgetMs = 0.5; // every frame misses.
-    params.async = true;
-    params.asyncDepth = 3;
+    params.depth = 3;
 
     std::vector<OperatingMode> modesA, modesB;
+    std::vector<ModeTransition> log;
     const auto runA = driveOutputs(map_, camera_, *scenario_, params,
-                                   10, &modesA);
+                                   10, &modesA, &log);
     const auto runB = driveOutputs(map_, camera_, *scenario_, params,
                                    10, &modesB);
     EXPECT_EQ(runA, runB);
@@ -349,11 +397,28 @@ TEST_F(PipelineIntegrationTest, AsyncEscalationMidOverlapDeterministic)
     EXPECT_TRUE(std::find(modesA.begin(), modesA.end(),
                           OperatingMode::Degraded) != modesA.end());
     EXPECT_NE(modesA.back(), OperatingMode::Nominal);
+    // Plans lag depth-1 = 2 frames of feedback.
+    expectPlanLag(modesA, log, 3);
 }
 
-/** Per-(kind, name) event counts in one flight dump. */
+TEST_F(PipelineIntegrationTest, RejectsDepthBelowOne)
+{
+    // fatal() exits through static destructors, which join the shared
+    // worker pool: a forked child of a process whose pool threads
+    // were started by earlier tests would hang, so re-execute instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    PipelineParams params = testParams();
+    params.depth = 0;
+    EXPECT_DEATH(Pipeline(map_, camera_, nullptr, params),
+                 "pipeline\\.depth.*got 0");
+}
+
+/**
+ * Per-(kind:name) event counts in one flight dump, plus the number of
+ * e2e_ms metrics above @p budgetMs under the key "e2e_ms>budget".
+ */
 std::map<std::string, int>
-flightEventCounts()
+flightEventCounts(double budgetMs)
 {
     std::string error;
     const auto doc = obs::json::parse(
@@ -364,21 +429,29 @@ flightEventCounts()
         return counts;
     for (const auto& stream :
          doc->find("flight")->find("streams")->asArray())
-        for (const auto& ev : stream.find("events")->asArray())
-            ++counts[ev.find("kind")->asString() + ":" +
-                     ev.find("name")->asString()];
+        for (const auto& ev : stream.find("events")->asArray()) {
+            const std::string key = ev.find("kind")->asString() + ":" +
+                                    ev.find("name")->asString();
+            ++counts[key];
+            if (key == "metric:e2e_ms" &&
+                ev.find("value")->asNumber() > budgetMs)
+                ++counts["e2e_ms>budget"];
+        }
     return counts;
 }
 
 TEST_F(PipelineIntegrationTest, AsyncFlightEventsConserved)
 {
-    // The async path repositions flight spans onto the executor's
-    // virtual stage times but must emit exactly the same events per
-    // frame as the serial path: same six spans, same e2e metric,
-    // same fault notes.
+    // Depth 3 places flight spans at overlapped virtual stage times
+    // but must emit exactly the same events per frame as depth 1:
+    // same six spans, same e2e metric, same fault notes. A deadline
+    // miss is the one wall-clock event (measured stage times plus
+    // 80 ms virtual spikes straddle the budget), so each run's miss
+    // marks must instead match its own over-budget e2e metrics.
     PipelineParams params = testParams();
     params.laneCenterY = scenario_->world.road().laneCenter(1);
     params.faults = FaultInjectorParams::scaledMix(0.5, 13);
+    const double budgetMs = params.deadline.budgetMs;
 
     obs::FlightParams fp;
     fp.capacity = 4096;
@@ -386,21 +459,24 @@ TEST_F(PipelineIntegrationTest, AsyncFlightEventsConserved)
     fp.dumpOnSafeStop = false;
     auto& fl = obs::flight();
 
-    fl.configure(fp);
-    fl.setEnabled(true);
-    driveOutputs(map_, camera_, *scenario_, params, 8);
-    const auto serialCounts = flightEventCounts();
+    std::map<int, std::map<std::string, int>> counts;
+    for (const int depth : {1, 3}) {
+        fl.configure(fp); // clears the rings.
+        fl.setEnabled(true);
+        params.depth = depth;
+        driveOutputs(map_, camera_, *scenario_, params, 8);
+        auto& c = counts[depth];
+        c = flightEventCounts(budgetMs);
+        fl.setEnabled(false);
+        EXPECT_EQ(c["mark:deadline.miss"], c["e2e_ms>budget"])
+            << "depth " << depth;
+        c.erase("mark:deadline.miss");
+        c.erase("e2e_ms>budget");
+    }
 
-    fl.configure(fp); // clears the rings.
-    params.async = true;
-    params.asyncDepth = 3;
-    driveOutputs(map_, camera_, *scenario_, params, 8);
-    const auto asyncCounts = flightEventCounts();
-    fl.setEnabled(false);
-
-    EXPECT_FALSE(serialCounts.empty());
-    EXPECT_EQ(serialCounts, asyncCounts);
-    EXPECT_GE(serialCounts.count("span:FRAME"), 1u);
+    EXPECT_EQ(counts[1]["span:FRAME"], 8);
+    EXPECT_EQ(counts[1]["metric:e2e_ms"], 8);
+    EXPECT_EQ(counts[1], counts[3]);
 }
 
 TEST(SystemConfig, NameIsReadable)

@@ -214,7 +214,8 @@ class TraceDeterminismTest : public ::testing::Test
             ego.pos.x += scenario.ego.speed * 0.1;
             const sensors::Frame frame = camera.render(world, ego);
             const auto out =
-                pipe.processFrame(frame.image, 0.1, scenario.ego.speed);
+                pipe.submitFrame(frame.image, 0.1, scenario.ego.speed)
+                    .front();
             sig.push_back(static_cast<double>(out.detections.size()));
             for (const auto& d : out.detections) {
                 sig.insert(sig.end(), {d.box.x, d.box.y, d.box.w,

@@ -11,8 +11,7 @@
  *         [--resolution=HHD|KITTI|HD] [--seed=1] [--csv=out.csv]
  *         [--det-input=160] [--summary] [--nn.threads=N]
  *         [--nn.precision=fp32|int8] [--nn.fuse=1] [--nn.arena=1]
- *         [--pipeline.async=0] [--pipeline.depth=2]
- *         [--pipeline.seed=0]
+ *         [--pipeline.depth=1] [--pipeline.seed=0]
  *         [--trace <file>] [--metrics] [--obs.trace_nn]
  *         [--obs.budget_ms=100] [--obs.perf] [--flight-dump[=file]]
  *         [--metrics-json=live.json]
@@ -41,13 +40,13 @@
  * the unfused or allocating reference path (DESIGN.md "Fused lowering
  * and the arena planner").
  *
- * --pipeline.async=1 runs frames through the frame-graph executor
- * (src/pipeline/frame_graph.hh): stages of up to --pipeline.depth
- * consecutive frames overlap on the shared worker pool, raising
- * throughput toward 1/max(stage) while per-frame outputs stay
- * bitwise-identical to the serial path at depth 1 and deterministic
- * at every depth (--pipeline.seed perturbs only dispatch order; see
- * docs/DESIGN.md "Async frame-graph execution").
+ * --pipeline.depth sets how many frames the frame-graph executor
+ * (src/pipeline/frame_graph.hh) keeps in flight: 1 (the default) runs
+ * each frame on this thread; D >= 2 overlaps stages of D consecutive
+ * frames on the shared worker pool, raising throughput toward
+ * 1/max(stage) while per-frame outputs stay deterministic at every
+ * depth (--pipeline.seed perturbs only dispatch order; see DESIGN.md
+ * "Frame-graph execution").
  *
  * --trace writes a Chrome trace_event JSON (chrome://tracing /
  * Perfetto) with per-stage spans carrying frame ids; --metrics dumps
@@ -103,7 +102,7 @@ knownKeys()
         "scenario", "frames",    "resolution", "seed",      "csv",
         "det-input", "det-width", "summary",    "length",
         "nn.threads", "nn.precision", "nn.fuse", "nn.arena",
-        "pipeline.async", "pipeline.depth", "pipeline.seed"};
+        "pipeline.depth", "pipeline.seed"};
     for (const auto& k : obs::knownConfigKeys())
         keys.push_back(k);
     for (const auto& k : pipeline::FaultInjectorParams::knownConfigKeys())
@@ -153,8 +152,7 @@ main(int argc, char** argv)
         nn::parsePrecision(cfg.getString("nn.precision", "fp32"));
     params.nnFuse = cfg.getBool("nn.fuse", true);
     params.nnArena = cfg.getBool("nn.arena", true);
-    params.async = cfg.getBool("pipeline.async", false);
-    params.asyncDepth = cfg.getInt("pipeline.depth", 2);
+    params.depth = cfg.getInt("pipeline.depth", 1);
     params.scheduleSeed = static_cast<std::uint64_t>(
         cfg.getInt("pipeline.seed", 0));
     params.deadline.budgetMs = obsOpt.budgetMs;
@@ -190,9 +188,9 @@ main(int argc, char** argv)
                             obsOpt.metricsJsonIntervalMs});
     Stopwatch runClock;
 
-    // One CSV row per committed frame. Async outputs trail their
-    // submissions by up to pipeline.depth frames, so rows are keyed
-    // by the output's own frame id, not the loop index.
+    // One CSV row per committed frame. At depth D outputs trail
+    // their submissions by up to D-1 frames, so rows are keyed by
+    // the output's own frame id, not the loop index.
     const auto writeRow = [&](const pipeline::FrameOutput& out) {
         if (!csv)
             return;
@@ -213,7 +211,6 @@ main(int argc, char** argv)
         if (ego.pos.x > world.road().length - 20)
             ego.pos.x = 20;
         const sensors::Frame frame = camera.render(world, ego);
-        // submitFrame runs serially unless --pipeline.async is set.
         for (const auto& out :
              pipe.submitFrame(frame.image, 0.1, scenario.ego.speed))
             writeRow(out);
@@ -231,10 +228,8 @@ main(int argc, char** argv)
                  pipe.locLatency().summary().toString().c_str());
     std::fprintf(stderr, "E2E     %s\n",
                  pipe.endToEndLatency().summary().toString().c_str());
-    if (pipe.asyncEnabled())
-        std::fprintf(
-            stderr, "PIPELINED %s\n",
-            pipe.pipelinedLatency().summary().toString().c_str());
+    std::fprintf(stderr, "PIPELINED %s\n",
+                 pipe.pipelinedLatency().summary().toString().c_str());
 
     const auto& watchdog = pipe.deadlineMonitor();
     std::fprintf(stderr, "%s", watchdog.report().c_str());
