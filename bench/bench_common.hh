@@ -9,6 +9,7 @@
 #define AD_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "pipeline/system_model.hh"
@@ -52,6 +53,15 @@ printHeader(const char* figure, const char* caption)
     std::printf("==========================================================\n");
     std::printf("%s -- %s\n", figure, caption);
     std::printf("==========================================================\n");
+}
+
+/** Print a serving report's invariant violations; return the count. */
+inline std::size_t
+printViolations(const std::vector<std::string>& violations)
+{
+    for (const std::string& v : violations)
+        std::fprintf(stderr, "report violation: %s\n", v.c_str());
+    return violations.size();
 }
 
 } // namespace ad::bench

@@ -20,7 +20,8 @@
  *    goodput scales with the engine count, less only the hot-block
  *    skew the rebalancer has to chase;
  *  - determinism: three runs of the same seeded scenario produce
- *    bitwise-identical migration logs and fleet summaries.
+ *    bitwise-identical migration logs and fleet reports (JSON);
+ *  - every report the sweep produces passes FleetReport::violations.
  *
  * Emits BENCH_fleet.json (override with --fleet-json=PATH): one row
  * per (shards, streams) with fleet-wide and per-shard p99.99 /
@@ -40,6 +41,7 @@
 #include "bench_common.hh"
 #include "common/config.hh"
 #include "fleet/fleet.hh"
+#include "obs/json.hh"
 
 namespace {
 
@@ -213,6 +215,7 @@ main(int argc, char** argv)
     const int shardCounts[] = {1, 2, 4};
     const int streamCounts[] = {32, 64, 256, 512, 1024, 4096};
     std::vector<SweepRow> rows;
+    std::size_t violations = 0;
     double goodput1 = 0.0, goodput4 = 0.0;
     bool tailPass = true;
     int tailRows = 0;
@@ -227,6 +230,7 @@ main(int argc, char** argv)
             row.streams = streams;
             row.report = server.run();
             const auto& r = row.report;
+            violations += bench::printViolations(r.violations());
             std::printf(
                 "%7d %8d %10.3f %10.3f %9.2f %7lld %7lld %7lld%s\n",
                 shards, streams, r.admittedLatency.p9999,
@@ -259,7 +263,7 @@ main(int argc, char** argv)
                 scalingPass ? "[>= 0.8 bar]" : "[BELOW 0.8 bar]");
 
     // Determinism: the same seeded scenario three times over must
-    // produce bitwise-identical migration logs and fleet summaries.
+    // produce bitwise-identical migration logs and fleet reports.
     // Uses the near-capacity hot-shard config so the log being
     // compared is non-empty -- determinism over no migrations would
     // prove nothing.
@@ -273,8 +277,10 @@ main(int argc, char** argv)
             fleet::ShardedServer server(
                 fleetParams(4, budgetMs, seed), load);
             const fleet::FleetReport r = server.run();
-            logs.push_back(r.migrationLogString());
-            summaries.push_back(r.summaryString());
+            violations += bench::printViolations(r.violations());
+            const obs::json::Value doc = r.toJson();
+            logs.push_back(obs::json::dump(*doc.find("migration_log")));
+            summaries.push_back(obs::json::dump(doc));
             determinismMigrations = r.migrations;
         }
     }
@@ -290,9 +296,11 @@ main(int argc, char** argv)
                 summaryIdentical ? "identical" : "DIVERGED");
 
     const bool tailOk = tailPass && tailRows > 0;
+    std::printf("report invariants: %zu violations\n", violations);
     std::printf(
         "\nverdict: %s\n",
-        (tailOk && scalingPass && logIdentical && summaryIdentical)
+        (tailOk && scalingPass && logIdentical && summaryIdentical &&
+         violations == 0)
             ? "PASS: multi-shard rows at >= 512 streams hold the "
               "admitted p99.99 budget, 1->4 shard goodput is >= "
               "0.8x linear, and the fleet is bit-reproducible"
@@ -302,7 +310,8 @@ main(int argc, char** argv)
               goodput1, goodput4, scalingRatio, scalingPass, tailOk,
               tailRows, logIdentical, summaryIdentical,
               determinismMigrations);
-    return (tailOk && scalingPass && logIdentical && summaryIdentical)
+    return (tailOk && scalingPass && logIdentical && summaryIdentical &&
+            violations == 0)
                ? 0
                : 1;
 }

@@ -22,7 +22,9 @@
  *    end the run with strictly less map error than a frozen map,
  *    and the compressed tile transport beats the raw encoding;
  *  - determinism: three runs of the same seeded scenario produce
- *    bitwise-identical version-stamp logs and run summaries.
+ *    bitwise-identical version-stamp logs and run reports (JSON);
+ *  - every report the sweep produces passes
+ *    MapServeReport::violations.
  *
  * Emits BENCH_map.json (override with --map-json=PATH). Fully
  * virtual-clocked: wall time never enters any figure.
@@ -41,6 +43,7 @@
 #include "common/config.hh"
 #include "fleet/loadgen.hh"
 #include "mapserve/sim.hh"
+#include "obs/json.hh"
 
 namespace {
 
@@ -189,6 +192,7 @@ main(int argc, char** argv)
 
     const int vehicleCounts[] = {32, 64, 256, 512};
     std::vector<SweepRow> rows;
+    std::size_t violations = 0;
     bool stallPass = true;
     int stallRows = 0;
     std::int64_t baselineSteady = 0;
@@ -204,6 +208,7 @@ main(int argc, char** argv)
             row.prefetch = prefetch;
             row.report = sim.run();
             const auto& r = row.report;
+            violations += bench::printViolations(r.violations());
             std::printf(
                 "%9d %9s %7.2f%% %8lld %7lld %7lld %10.1fms "
                 "%10.1fms%s\n",
@@ -257,6 +262,8 @@ main(int argc, char** argv)
         frozen.updates = false;
         const mapserve::MapServeReport off =
             mapserve::MapServeSim(frozen, load).run();
+        violations += bench::printViolations(on.violations());
+        violations += bench::printViolations(off.violations());
         errOn = on.finalErrBits;
         errOff = off.finalErrBits;
         peakErr = on.peakErrBits;
@@ -275,7 +282,7 @@ main(int argc, char** argv)
                 convergencePass ? "PASS" : "FAIL");
 
     // Determinism: three runs over the same seeded tape must agree
-    // bit for bit on the version-stamp log and the run summary, and
+    // bit for bit on the version-stamp log and the run report, and
     // the compared log must be non-empty (drift keeps merges hot).
     std::vector<std::string> logs, summaries;
     std::int64_t mergeEpochs = 0;
@@ -284,8 +291,9 @@ main(int argc, char** argv)
         for (int run = 0; run < 3; ++run) {
             const mapserve::MapServeReport r =
                 mapserve::MapServeSim(simParams(true), load).run();
+            violations += bench::printViolations(r.violations());
             logs.push_back(r.versionLog);
-            summaries.push_back(r.summaryString());
+            summaries.push_back(obs::json::dump(r.toJson()));
             mergeEpochs = r.server.mergeEpochs;
         }
     }
@@ -299,8 +307,11 @@ main(int argc, char** argv)
                 logIdentical ? "identical" : "DIVERGED",
                 summaryIdentical ? "identical" : "DIVERGED");
 
+    std::printf("report invariants: %zu violations\n", violations);
+
     const bool pass = stallPass && latencyPass && convergencePass &&
-                      logIdentical && summaryIdentical;
+                      logIdentical && summaryIdentical &&
+                      violations == 0;
     std::printf(
         "\nverdict: %s\n",
         pass ? "PASS: prefetch eliminates steady-state cold-tile "

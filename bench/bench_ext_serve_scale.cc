@@ -32,6 +32,9 @@
  * and records it as "flight_overhead" -- the ISSUE 7 acceptance bar
  * is < 5 %.
  *
+ * Every report the bench produces must pass ServeReport::violations;
+ * the bench exits 1 otherwise.
+ *
  * Usage:
  *   bench_ext_serve_scale [--frames=1500] [--budget-ms=100]
  *                         [--seed=29] [--serve-json=PATH]
@@ -127,6 +130,7 @@ struct FlightOverhead
     double onMs = 0.0;  ///< min-of-reps wall time, recorder armed.
     double offMs = 0.0; ///< min-of-reps wall time, recorder off.
     double pct = 0.0;   ///< 100 * (on/off - 1), clamped at 0.
+    std::size_t violations = 0; ///< report invariant violations.
 };
 
 /**
@@ -182,8 +186,10 @@ measureFlightOverhead(double budgetMs, std::uint64_t seed, int reps)
             sp.governor.budgetMs = budgetMs;
             serve::MultiStreamServer server(sp, engine);
             Stopwatch clock;
-            server.run(kFrames);
+            const serve::ServeReport report = server.run(kFrames);
             const double ms = clock.elapsedMs();
+            result.violations +=
+                bench::printViolations(report.violations());
             double& slot = on ? result.onMs : result.offMs;
             slot = std::min(slot, ms);
         }
@@ -294,9 +300,11 @@ main(int argc, char** argv)
     const int streamCounts[] = {1, 2, 4, 8, 16, 24, 32};
     const double windows[] = {0.0, 4.0, 8.0};
     std::vector<SweepRow> rows;
+    std::size_t violations = 0;
     for (const int streams : streamCounts) {
         SweepRow base = runCell(streams, 0.0, false, frames, budgetMs,
                                 seed);
+        violations += bench::printViolations(base.report.violations());
         rows.push_back(base);
         const auto& b = base.report;
         std::printf("%7d %9s %9s %10.3f %10.3f %9.2f %9.4f %7.2f\n",
@@ -309,6 +317,8 @@ main(int argc, char** argv)
         for (const double window : windows) {
             SweepRow row = runCell(streams, window, true, frames,
                                    budgetMs, seed);
+            violations +=
+                bench::printViolations(row.report.violations());
             rows.push_back(row);
             const auto& r = row.report;
             std::printf(
@@ -368,7 +378,10 @@ main(int argc, char** argv)
                 overhead.pct < 5.0 ? "[within 5 % budget]"
                                    : "[EXCEEDS 5 % budget]");
 
+    violations += overhead.violations;
+    std::printf("report invariants: %zu violations\n", violations);
+
     writeJson(jsonPath.c_str(), rows, frames, budgetMs, seed,
               overhead);
-    return accepted ? 0 : 1;
+    return accepted && violations == 0 ? 0 : 1;
 }

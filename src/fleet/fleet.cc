@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -151,48 +150,6 @@ FleetCoordinator::pickVictims(std::vector<Candidate> candidates) const
 // ----------------------------------------------------------------- report
 
 std::string
-FleetReport::migrationLogString() const
-{
-    std::ostringstream os;
-    os << std::setprecision(17);
-    for (const auto& m : migrationLog)
-        os << "epoch=" << m.epoch << " t=" << m.tMs
-           << " stream=" << m.stream << " " << m.fromShard << "->"
-           << m.toShard << " burn=" << m.burnFrom << "/" << m.burnTo
-           << "\n";
-    return os.str();
-}
-
-std::string
-FleetReport::summaryString() const
-{
-    std::ostringstream os;
-    os << std::setprecision(17);
-    os << "shards=" << shards << " streams=" << streamsAdmitted << "/"
-       << streamsRequested << " arrived=" << framesArrived
-       << " admitted=" << framesAdmitted << " degraded="
-       << framesDegraded << " coasted=" << framesCoasted
-       << " shed=" << framesShed << " misses=" << deadlineMisses
-       << " p50=" << admittedLatency.p50
-       << " p99=" << admittedLatency.p99
-       << " p9999=" << admittedLatency.p9999
-       << " goodput=" << goodputFps << " total=" << totalGoodputFps
-       << " duration=" << durationMs << " epochs=" << epochs
-       << " migrations=" << migrations
-       << " escalations=" << fleetEscalations << "\n";
-    for (const auto& r : shardRows)
-        os << "shard=" << r.shard << " final=" << r.streamsFinal
-           << " injected=" << r.arrivalsInjected
-           << " completions=" << r.completions << " sheds=" << r.sheds
-           << " batches=" << r.batches
-           << " p9999=" << r.admittedLatency.p9999
-           << " goodput=" << r.goodputFps << " burn=" << r.burnRate
-           << " in=" << r.migrationsIn << " out=" << r.migrationsOut
-           << "\n";
-    return os.str();
-}
-
-std::string
 FleetReport::toString() const
 {
     std::ostringstream os;
@@ -219,6 +176,100 @@ FleetReport::toString() const
            << " ms, goodput " << r.goodputFps << " fps, burn "
            << r.burnRate << "\n";
     return os.str();
+}
+
+obs::json::Value
+FleetReport::toJson() const
+{
+    obs::json::Array rows;
+    for (std::size_t k = 0; k < shardRows.size(); ++k) {
+        const ShardSummary& r = shardRows[k];
+        obs::json::Object row{
+            {"shard", r.shard}, {"streams_final", r.streamsFinal},
+            {"injected", r.arrivalsInjected},
+            {"completions", r.completions}, {"sheds", r.sheds},
+            {"goodput_fps", r.goodputFps}, {"burn_rate", r.burnRate},
+            {"migrations_in", r.migrationsIn},
+            {"migrations_out", r.migrationsOut}};
+        if (k < shardReports.size())
+            row["serve"] = shardReports[k].toJson();
+        rows.emplace_back(std::move(row));
+    }
+    obs::json::Array log;
+    for (const Migration& m : migrationLog)
+        log.emplace_back(obs::json::Object{
+            {"epoch", m.epoch}, {"t_ms", m.tMs}, {"stream", m.stream},
+            {"from", m.fromShard}, {"to", m.toShard},
+            {"burn_from", m.burnFrom}, {"burn_to", m.burnTo}});
+    return obs::json::Object{
+        {"shards", shards}, {"streams", streamsRequested},
+        {"streams_admitted", streamsAdmitted},
+        {"arrived", framesArrived}, {"admitted", framesAdmitted},
+        {"degraded", framesDegraded}, {"coasted", framesCoasted},
+        {"shed", framesShed}, {"deadline_misses", deadlineMisses},
+        {"p50_ms", admittedLatency.p50}, {"p99_ms", admittedLatency.p99},
+        {"p9999_ms", admittedLatency.p9999},
+        {"worst_ms", admittedLatency.worst}, {"goodput_fps", goodputFps},
+        {"total_goodput_fps", totalGoodputFps}, {"shed_rate", shedRate},
+        {"duration_ms", durationMs}, {"epochs", epochs},
+        {"migrations", migrations}, {"fleet_escalations", fleetEscalations},
+        {"shard_rows", std::move(rows)}, {"migration_log", std::move(log)}};
+}
+
+std::vector<std::string>
+FleetReport::violations() const
+{
+    std::vector<std::string> out;
+    auto n = [](auto v) { return std::to_string(v); };
+    const std::int64_t resolved =
+        framesAdmitted + framesCoasted + framesShed;
+    if (resolved != framesArrived)
+        out.push_back("frame conservation: admitted + coasted + shed = " +
+                      n(resolved) + " != arrived " + n(framesArrived));
+    if (shards < 1 || streamsAdmitted > streamsRequested)
+        out.push_back("fleet shape: " + n(shards) + " shards, " +
+                      n(streamsAdmitted) + " of " + n(streamsRequested) +
+                      " streams admitted");
+    if (shardRows.size() != static_cast<std::size_t>(shards))
+        out.push_back("shard rows: " + n(shardRows.size()) + " for " +
+                      n(shards) + " shards");
+    std::int64_t injected = 0;
+    std::int64_t resident = 0;
+    for (const ShardSummary& r : shardRows) {
+        // Migrations only move quiescent streams, so every arrival
+        // injected into a shard is resolved on it.
+        if (r.arrivalsInjected != r.completions + r.sheds)
+            out.push_back("shard " + n(r.shard) +
+                          " conservation: injected " +
+                          n(r.arrivalsInjected) +
+                          " != completions + sheds " +
+                          n(r.completions + r.sheds));
+        injected += r.arrivalsInjected;
+        resident += r.streamsFinal;
+    }
+    if (injected != framesArrived)
+        out.push_back("injected total: " + n(injected) + " != arrived " +
+                      n(framesArrived));
+    if (resident != streamsAdmitted)
+        out.push_back("resident streams: " + n(resident) +
+                      " != streams admitted " + n(streamsAdmitted));
+    if (static_cast<std::int64_t>(migrationLog.size()) != migrations)
+        out.push_back("migration log: " + n(migrationLog.size()) +
+                      " entries for " + n(migrations) + " migrations");
+    auto shard = [this](int k) { return k >= 0 && k < shards; };
+    for (std::size_t i = 0; i < migrationLog.size(); ++i) {
+        const Migration& m = migrationLog[i];
+        if (!shard(m.fromShard) || !shard(m.toShard) ||
+            m.fromShard == m.toShard || m.stream < 0 ||
+            m.stream >= streamsRequested)
+            out.push_back("migration_log[" + n(i) + "]: stream " +
+                          n(m.stream) + " from shard " + n(m.fromShard) +
+                          " to " + n(m.toShard) + " is not a valid move");
+    }
+    for (std::size_t k = 0; k < shardReports.size(); ++k)
+        for (const std::string& v : shardReports[k].violations())
+            out.push_back("shard " + n(k) + " " + v);
+    return out;
 }
 
 // ------------------------------------------------------------------ shard
@@ -581,8 +632,6 @@ ShardedServer::run()
         row.arrivalsInjected = shard.injected;
         row.completions = shard.completions;
         row.sheds = shard.sheds;
-        row.batches =
-            report.shardReports[static_cast<std::size_t>(k)].batches;
         row.admittedLatency =
             shard.server->admittedRecorder().summary();
         if (report.durationMs > 0)

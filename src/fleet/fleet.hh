@@ -233,7 +233,6 @@ struct ShardSummary
     std::int64_t arrivalsInjected = 0; ///< tape arrivals routed here.
     std::int64_t completions = 0;  ///< engine-served + coasted here.
     std::int64_t sheds = 0;        ///< shed here (event-time).
-    std::int64_t batches = 0;      ///< engine batches dispatched.
     LatencySummary admittedLatency; ///< engine-served latencies here.
     double goodputFps = 0.0;       ///< on-time frames per second.
     double burnRate = 0.0;         ///< final shard SLO burn.
@@ -270,15 +269,24 @@ struct FleetReport
         field-identical to MultiStreamServer::run's report). */
     std::vector<serve::ServeReport> shardReports;
 
-    /** Canonical one-line-per-migration serialization; two runs are
-        rebalancing-identical iff these strings match bytewise. */
-    std::string migrationLogString() const;
-
-    /** Canonical summary serialization for determinism checks. */
-    std::string summaryString() const;
-
     /** Multi-line human-readable summary. */
     std::string toString() const;
+
+    /**
+     * The report as JSON (the `--fleet-json` document). Each shard
+     * row nests its shard's ServeReport::toJson under "serve"; the
+     * row's own "goodput_fps" is over the fleet's duration.
+     */
+    obs::json::Value toJson() const;
+
+    /**
+     * One message per broken invariant, naming it: frame
+     * conservation; fleet shape; one shard row per shard, each
+     * conserving its injected arrivals; shard sums equal to the
+     * fleet's; one valid migration-log entry per migration; and
+     * every shard's ServeReport::violations.
+     */
+    std::vector<std::string> violations() const;
 };
 
 /**

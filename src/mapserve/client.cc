@@ -25,7 +25,8 @@ MapClientParams::knownConfigKeys()
             "mapserve.client.horizon-ms"};
 }
 
-MapClient::MapClient(const MapClientParams& params) : params_(params)
+MapClient::MapClient(const MapClientParams& params)
+    : params_(params), cache_(params.cacheTiles)
 {
     if (params_.cacheTiles < 1)
         fatal("MapClient: cache-tiles must be >= 1");
@@ -34,19 +35,16 @@ MapClient::MapClient(const MapClientParams& params) : params_(params)
 const Tile*
 MapClient::find(TileId id)
 {
-    auto it = cache_.find(id);
-    if (it == cache_.end())
-        return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    ++stats_.hits;
-    return &it->second.tile;
+    const Tile* tile = cache_.find(id);
+    if (tile)
+        ++stats_.hits;
+    return tile;
 }
 
 const Tile*
 MapClient::peek(TileId id) const
 {
-    const auto it = cache_.find(id);
-    return it == cache_.end() ? nullptr : &it->second.tile;
+    return cache_.peek(id);
 }
 
 void
@@ -54,20 +52,9 @@ MapClient::install(Tile&& tile)
 {
     inFlight_.erase(tile.id);
     ++stats_.installs;
-    auto it = cache_.find(tile.id);
-    if (it != cache_.end()) {
-        it->second.tile = std::move(tile);
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        return;
-    }
     const TileId id = tile.id;
-    lru_.push_front(id);
-    cache_[id] = Entry{std::move(tile), lru_.begin()};
-    if (cache_.size() > params_.cacheTiles) {
-        cache_.erase(lru_.back());
-        lru_.pop_back();
+    if (cache_.put(id, std::move(tile)))
         ++stats_.evictions;
-    }
 }
 
 float

@@ -20,12 +20,12 @@
 #define AD_MAPSERVE_CLIENT_HH
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/lru_cache.hh"
 #include "mapserve/tile_codec.hh"
 
 namespace ad {
@@ -111,13 +111,7 @@ class MapClient
 
   private:
     MapClientParams params_;
-    struct Entry
-    {
-        Tile tile;
-        std::list<TileId>::iterator lruIt;
-    };
-    std::map<TileId, Entry> cache_;
-    std::list<TileId> lru_; ///< most recently used first.
+    LruCache<TileId, Tile> cache_;
     std::set<TileId> inFlight_;
     std::map<TileId, float> pushed_;
     MapClientStats stats_;

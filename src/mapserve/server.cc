@@ -90,7 +90,8 @@ TileServerParams::knownConfigKeys()
 
 TileServer::TileServer(const TileServerParams& params,
                        const WorldModel& world)
-    : params_(params), world_(world), jitterRng_(params.seed)
+    : params_(params), world_(world), jitterRng_(params.seed),
+      cache_(params.cacheTiles)
 {
     if (params_.queueDepth < 1)
         fatal("TileServer: queue-depth must be >= 1");
@@ -244,45 +245,23 @@ TileServer::serveOne(const TileRequest& request, double* costMs)
     out.request = request;
     out.version = tileVersion(request.tile);
 
-    auto it = cache_.find(request.tile);
-    if (it != cache_.end() && it->second.version == out.version) {
+    const CachedTile* cached = cache_.find(request.tile);
+    if (cached && cached->version == out.version) {
         out.cacheHit = true;
-        out.payload = it->second.payload;
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+        out.payload = cached->payload;
         *costMs = params_.hitMs;
         ++stats_.cacheHits;
     } else {
         out.payload = encodeTile(authoritative(request.tile));
         *costMs = params_.missMs;
         ++stats_.cacheMisses;
-        cacheInsert(request.tile, out.payload, out.version);
+        cache_.put(request.tile, CachedTile{out.payload, out.version});
     }
     stats_.bytesServed +=
         static_cast<std::int64_t>(out.payload.size());
     stats_.rawBytes += static_cast<std::int64_t>(
         rawTileBytes(authoritative(request.tile)));
     return out;
-}
-
-void
-TileServer::cacheInsert(TileId id, std::vector<std::uint8_t> payload,
-                        std::uint64_t version)
-{
-    if (params_.cacheTiles == 0)
-        return;
-    auto it = cache_.find(id);
-    if (it != cache_.end()) {
-        it->second.payload = std::move(payload);
-        it->second.version = version;
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        return;
-    }
-    lru_.push_front(id);
-    cache_[id] = CacheEntry{std::move(payload), version, lru_.begin()};
-    if (cache_.size() > params_.cacheTiles) {
-        cache_.erase(lru_.back());
-        lru_.pop_back();
-    }
 }
 
 void
@@ -325,11 +304,7 @@ TileServer::merge(double nowMs)
         tile.version += 1;
         // Merged tiles invalidate their cache entry; the next fetch
         // re-encodes and re-caches the new epoch.
-        auto cit = cache_.find(id);
-        if (cit != cache_.end()) {
-            lru_.erase(cit->second.lruIt);
-            cache_.erase(cit);
-        }
+        cache_.erase(id);
         char line[160];
         std::snprintf(line, sizeof(line),
                       "epoch=%lld t=%.3f tile=%s v=%llu updates=%lld "

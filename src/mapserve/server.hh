@@ -38,13 +38,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/lru_cache.hh"
 #include "common/random.hh"
 #include "mapserve/tile_codec.hh"
 #include "mapserve/world.hh"
@@ -214,8 +214,6 @@ class TileServer
   private:
     /** Serve one request (cache lookup + encode); cost via *outMs. */
     ServedTile serveOne(const TileRequest& request, double* costMs);
-    void cacheInsert(TileId id, std::vector<std::uint8_t> payload,
-                     std::uint64_t version);
 
     TileServerParams params_;
     const WorldModel& world_;
@@ -236,15 +234,14 @@ class TileServer
     std::int64_t mergeEpoch_ = 0;
     std::string versionLog_;
 
-    /** Encoded-tile LRU cache: map + recency list of TileIds. */
-    struct CacheEntry
+    /** One encoded tile and the version it encodes. */
+    struct CachedTile
     {
         std::vector<std::uint8_t> payload;
         std::uint64_t version = 0;
-        std::list<TileId>::iterator lruIt; ///< position in lru_.
     };
-    std::map<TileId, CacheEntry> cache_;
-    std::list<TileId> lru_; ///< most recently used at the front.
+    /** Encoded-tile LRU (capacity cacheTiles; 0 = cache off). */
+    LruCache<TileId, CachedTile> cache_;
 
     TileServerStats stats_;
 };

@@ -51,14 +51,16 @@ appendLine(std::string& out, const char* fmt, ...)
     out += line;
 }
 
-void
-appendSummary(std::string& out, const char* name,
-              const LatencySummary& s)
+/** FNV-1a over the version-stamp log (determinism fingerprint). */
+std::uint64_t
+logFnv(const std::string& s)
 {
-    appendLine(out,
-               "%s count=%zu mean=%.6f p50=%.6f p99=%.6f "
-               "p9999=%.6f\n",
-               name, s.count, s.mean, s.p50, s.p99, s.p9999);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
 } // namespace
@@ -109,59 +111,6 @@ MapServeSimParams::knownConfigKeys()
 }
 
 std::string
-MapServeReport::summaryString() const
-{
-    std::string out;
-    appendLine(out,
-               "vehicles=%d frames=%lld warm=%lld stalled=%lld "
-               "coasted=%lld steady=%lld cold=%lld\n",
-               vehicles, static_cast<long long>(frames),
-               static_cast<long long>(framesWarm),
-               static_cast<long long>(framesStalled),
-               static_cast<long long>(framesCoasted),
-               static_cast<long long>(steadyStalls),
-               static_cast<long long>(coldStarts));
-    appendLine(out,
-               "prefetch issued=%lld shed=%lld late=%lld "
-               "stale reads=%lld refreshes=%lld pushes=%lld\n",
-               static_cast<long long>(prefetchIssued),
-               static_cast<long long>(prefetchShed),
-               static_cast<long long>(prefetchLate),
-               static_cast<long long>(staleReads),
-               static_cast<long long>(staleRefreshes),
-               static_cast<long long>(updatesPushed));
-    appendLine(out,
-               "server submitted=%lld served=%lld batches=%lld "
-               "shed=%lld evicted=%lld hits=%lld misses=%lld\n",
-               static_cast<long long>(server.submitted),
-               static_cast<long long>(server.served),
-               static_cast<long long>(server.batches),
-               static_cast<long long>(server.admissionShed),
-               static_cast<long long>(server.queueEvictions),
-               static_cast<long long>(server.cacheHits),
-               static_cast<long long>(server.cacheMisses));
-    appendLine(out,
-               "merge epochs=%lld tiles=%lld updates=%lld "
-               "bytes=%lld raw=%lld ratio=%.6f\n",
-               static_cast<long long>(server.mergeEpochs),
-               static_cast<long long>(server.tilesMerged),
-               static_cast<long long>(server.updatesMerged),
-               static_cast<long long>(server.bytesServed),
-               static_cast<long long>(server.rawBytes),
-               compressionRatio);
-    appendSummary(out, "fetch", fetchLatency);
-    appendSummary(out, "demand", demandLatency);
-    appendSummary(out, "stall", stallMs);
-    appendLine(out, "err peak=%.4f final=%.4f epochs=", peakErrBits,
-               finalErrBits);
-    for (const double e : epochErrBits)
-        appendLine(out, "%.4f,", e);
-    appendLine(out, "\nduration=%.3f hitRate=%.6f\n", durationMs,
-               prefetchHitRate);
-    return out;
-}
-
-std::string
 MapServeReport::toString() const
 {
     std::string out;
@@ -207,6 +156,87 @@ MapServeReport::toString() const
     appendLine(out, "\n  appearance err: peak %.2f bits, final %.2f "
                     "bits over %zu epochs\n",
                peakErrBits, finalErrBits, epochErrBits.size());
+    return out;
+}
+
+obs::json::Value
+MapServeReport::toJson() const
+{
+    obs::json::Object o{
+        {"vehicles", vehicles}, {"frames", frames}, {"warm", framesWarm},
+        {"stalled", framesStalled}, {"coasted", framesCoasted},
+        {"steady_stalls", steadyStalls}, {"cold_starts", coldStarts},
+        {"prefetch_issued", prefetchIssued},
+        {"prefetch_shed", prefetchShed}, {"prefetch_late", prefetchLate},
+        {"stale_reads", staleReads}, {"stale_refreshes", staleRefreshes},
+        {"updates_pushed", updatesPushed},
+        {"updates_merged", server.updatesMerged},
+        {"merge_epochs", server.mergeEpochs},
+        {"tiles_merged", server.tilesMerged},
+        {"submitted", server.submitted}, {"served", server.served},
+        {"admission_shed", server.admissionShed},
+        {"queue_evictions", server.queueEvictions},
+        {"batches", server.batches}, {"cache_hits", server.cacheHits},
+        {"cache_misses", server.cacheMisses},
+        {"bytes_served", server.bytesServed},
+        {"raw_bytes", server.rawBytes},
+        {"compression_ratio", compressionRatio},
+        {"hit_rate", prefetchHitRate}, {"peak_err_bits", peakErrBits},
+        {"final_err_bits", finalErrBits},
+        {"epoch_err_bits",
+         obs::json::Array(epochErrBits.begin(), epochErrBits.end())},
+        {"duration_ms", durationMs}};
+    for (const auto& [name, s] : {std::pair{"fetch_", fetchLatency},
+                                  std::pair{"demand_", demandLatency},
+                                  std::pair{"stall_", stallMs}}) {
+        const std::string prefix = name;
+        o[prefix + "count"] = s.count;
+        o[prefix + "mean_ms"] = s.mean;
+        o[prefix + "p50_ms"] = s.p50;
+        o[prefix + "p99_ms"] = s.p99;
+        o[prefix + "p9999_ms"] = s.p9999;
+    }
+    char fnv[17];
+    std::snprintf(fnv, sizeof(fnv), "%016llx",
+                  static_cast<unsigned long long>(logFnv(versionLog)));
+    o["version_log_fnv"] = std::string(fnv);
+    return o;
+}
+
+std::vector<std::string>
+MapServeReport::violations() const
+{
+    std::vector<std::string> out;
+    auto n = [](std::int64_t v) { return std::to_string(v); };
+    if (vehicles < 1 || frames < 1)
+        out.push_back("run shape: " + n(vehicles) + " vehicles, " +
+                      n(frames) + " frames");
+    if (framesWarm + framesStalled + framesCoasted != frames)
+        out.push_back("frame conservation: warm + stalled + coasted = " +
+                      n(framesWarm + framesStalled + framesCoasted) +
+                      " != frames " + n(frames));
+    if (steadyStalls + coldStarts != framesStalled)
+        out.push_back("stall split: steady + cold = " +
+                      n(steadyStalls + coldStarts) + " != stalled " +
+                      n(framesStalled));
+    const std::int64_t resolved =
+        server.served + server.admissionShed + server.queueEvictions;
+    if (resolved != server.submitted)
+        out.push_back("request conservation: served + shed + evicted = " +
+                      n(resolved) + " != submitted " + n(server.submitted));
+    if (server.cacheHits + server.cacheMisses != server.served)
+        out.push_back("cache accounting: hits + misses = " +
+                      n(server.cacheHits + server.cacheMisses) +
+                      " != served " + n(server.served));
+    if (server.served > 0 &&
+        (server.bytesServed <= 0 || server.bytesServed > server.rawBytes))
+        out.push_back("compression accounting: " +
+                      n(server.bytesServed) + " bytes served of " +
+                      n(server.rawBytes) + " raw");
+    if (server.updatesMerged > updatesPushed)
+        out.push_back("update accounting: merged " +
+                      n(server.updatesMerged) + " > pushed " +
+                      n(updatesPushed));
     return out;
 }
 

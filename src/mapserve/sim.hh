@@ -54,6 +54,7 @@
 #include "mapserve/client.hh"
 #include "mapserve/server.hh"
 #include "mapserve/world.hh"
+#include "obs/json.hh"
 #include "obs/metrics.hh"
 
 namespace ad::mapserve {
@@ -137,14 +138,23 @@ struct MapServeReport
     MapClientStats clients;       ///< client counters, fleet-summed.
     std::string versionLog;       ///< the server's merge log.
 
-    /** Canonical machine-readable digest: every counter and latency
-        quantile in fixed formatting. Two runs are *the same run*
-        iff their summary strings and version logs match bytewise --
-        the determinism bars compare exactly these. */
-    std::string summaryString() const;
-
     /** Multi-line human-readable summary. */
     std::string toString() const;
+
+    /**
+     * The report as JSON (the `--map-json` document). The version
+     * log's FNV-1a is "version_log_fnv", 16 hex digits: a double
+     * cannot hold it.
+     */
+    obs::json::Value toJson() const;
+
+    /**
+     * One message per broken invariant, naming it: vehicles and
+     * frames >= 1; frame, stall-split, request and cache
+     * conservation; 0 < bytes served <= raw once anything is
+     * served; updates merged <= pushed.
+     */
+    std::vector<std::string> violations() const;
 };
 
 /**

@@ -1,6 +1,9 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -322,6 +325,87 @@ parseFile(const std::string& path, std::string* error)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return parse(buffer.str(), error);
+}
+
+namespace {
+
+void
+writeString(std::string& out, const std::string& s)
+{
+    out += '"';
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char esc[8];
+            std::snprintf(esc, sizeof(esc), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += esc;
+        } else {
+            out += c;
+        }
+    }
+    out += '"';
+}
+
+void
+writeValue(std::string& out, const Value& v, int indent)
+{
+    if (v.isBool()) {
+        out += v.asBool() ? "true" : "false";
+        return;
+    }
+    if (v.isNumber() && std::isfinite(v.asNumber())) {
+        char buf[32];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                      v.asNumber())
+                            .ptr);
+        return;
+    }
+    if (v.isString()) {
+        writeString(out, v.asString());
+        return;
+    }
+    if (!v.isArray() && !v.isObject()) { // null or non-finite
+        out += "null";
+        return;
+    }
+    const bool array = v.isArray();
+    const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
+    std::size_t n = 0;
+    auto member = [&] {
+        out += n++ ? ",\n" : "\n";
+        out += pad;
+    };
+    out += array ? '[' : '{';
+    if (array) {
+        for (const Value& e : v.asArray()) {
+            member();
+            writeValue(out, e, indent + 2);
+        }
+    } else {
+        for (const auto& [key, e] : v.asObject()) {
+            member();
+            writeString(out, key);
+            out += ": ";
+            writeValue(out, e, indent + 2);
+        }
+    }
+    if (n)
+        out += "\n" + std::string(static_cast<std::size_t>(indent), ' ');
+    out += array ? ']' : '}';
+}
+
+} // namespace
+
+std::string
+dump(const Value& value)
+{
+    std::string out;
+    writeValue(out, value, 0);
+    out += '\n';
+    return out;
 }
 
 } // namespace ad::obs::json

@@ -94,8 +94,16 @@ knownConfigKeys()
 }
 
 void
-finish(const ObsOptions& options)
+finish(const ObsOptions& options, std::optional<double> snapshotAtMs)
 {
+    if (snapshotAtMs && !options.metricsJsonPath.empty()) {
+        MetricsSnapshotter snapshotter(
+            metrics(), SnapshotOptions{options.metricsJsonPath,
+                                       options.metricsJsonIntervalMs});
+        if (snapshotter.writeNow(*snapshotAtMs))
+            std::fprintf(stderr, "metrics-json: wrote snapshot to %s\n",
+                         snapshotter.path().c_str());
+    }
     if (options.trace) {
         auto& rec = tracer();
         if (rec.writeChromeTrace(options.traceFile))

@@ -27,6 +27,7 @@
 #ifndef AD_OBS_OBS_HH
 #define AD_OBS_OBS_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,13 @@ std::vector<std::string> knownConfigKeys();
 
 /**
  * End-of-run actions: write the Chrome trace (reporting the path and
- * event count) and dump the metric registry to stderr.
+ * event count), honor --flight-dump, dump the metric registry to
+ * stderr, and, given @p snapshotAtMs, write one `--metrics-json`
+ * snapshot stamped with it -- the end-of-run snapshot of a
+ * virtual-clocked run, where periodic snapshots make no sense.
  */
-void finish(const ObsOptions& options);
+void finish(const ObsOptions& options,
+            std::optional<double> snapshotAtMs = std::nullopt);
 
 } // namespace ad::obs
 

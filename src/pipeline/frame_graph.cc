@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/logging.hh"
 #include "common/parallel_for.hh"
 #include "common/thread_pool.hh"
 #include "obs/trace.hh"
@@ -177,12 +178,8 @@ FrameGraphExecutor::FrameGraphExecutor(FrameGraph graph, Params params,
     for (std::size_t s = 0; s < n; ++s) {
         for (FrameGraph::StageId c : graph_.consumers(static_cast<FrameGraph::StageId>(s)))
             consumers_[s].push_back(c);
-        const std::size_t edges =
-            std::max<std::size_t>(1, graph_.inputs(
-                                         static_cast<FrameGraph::StageId>(s))
-                                         .size());
-        for (std::size_t j = 0; j < edges; ++j)
-            inQueues_[s].emplace_back(cap);
+        inQueues_[s].resize(std::max<std::size_t>(
+            1, graph_.inputs(static_cast<FrameGraph::StageId>(s)).size()));
     }
     slots_.resize(cap);
     for (InFlight& f : slots_)
@@ -220,7 +217,7 @@ FrameGraphExecutor::submit(double arrivalMs)
             admit_(frame);
         for (std::size_t s = 0; s < graph_.stageCount(); ++s)
             if (graph_.inputs(static_cast<FrameGraph::StageId>(s)).empty())
-                inQueues_[s][0].tryPush(frame);
+                pushEdgeLocked(s, 0, frame);
         dispatchReadyLocked(local);
     }
     runInline(std::move(local));
@@ -322,8 +319,7 @@ FrameGraphExecutor::taskDone(int stage, std::int64_t frame,
             const auto& ins = graph_.inputs(c);
             for (std::size_t j = 0; j < ins.size(); ++j)
                 if (ins[j] == stage)
-                    inQueues_[static_cast<std::size_t>(c)][j].tryPush(
-                        frame);
+                    pushEdgeLocked(static_cast<std::size_t>(c), j, frame);
         }
         commitFinishedLocked();
         dispatchReadyLocked(local);
@@ -345,13 +341,12 @@ FrameGraphExecutor::dispatchReadyLocked(std::vector<Task>& local)
             continue;
         bool ready = true;
         std::int64_t front = -1;
-        for (auto& q : inQueues_[s]) {
-            const auto head = q.peek();
-            if (!head) {
+        for (const auto& q : inQueues_[s]) {
+            if (q.empty()) {
                 ready = false;
                 break;
             }
-            front = *head; // all fronts agree (lockstep pops).
+            front = q.front(); // all fronts agree (lockstep pops).
         }
         if (ready)
             cands.push_back({front, topoIndex_[s],
@@ -372,7 +367,7 @@ FrameGraphExecutor::dispatchReadyLocked(std::vector<Task>& local)
     for (const Cand& c : cands) {
         const auto si = static_cast<std::size_t>(c.stage);
         for (auto& q : inQueues_[si])
-            q.tryPop();
+            q.pop_front();
         stageBusy_[si] = 1;
         if (!pool_) {
             // Inline, one stage at a time: its completion dispatches
@@ -416,6 +411,21 @@ FrameGraphExecutor::commitFinishedLocked()
     }
     if (committed_ == admitted_)
         drained_.notify_all();
+}
+
+void
+FrameGraphExecutor::pushEdgeLocked(std::size_t stage, std::size_t edge,
+                                   std::int64_t frame)
+{
+    auto& q = inQueues_[stage][edge];
+    // At most depth frames are admitted and uncommitted, and each
+    // sits on a given edge at most once, so a fuller edge is a bug.
+    if (q.size() >= static_cast<std::size_t>(params_.depth))
+        panic("FrameGraphExecutor: input edge ", edge, " of stage '",
+              graph_.stageName(static_cast<FrameGraph::StageId>(stage)),
+              "' would hold more than depth = ", params_.depth,
+              " frames");
+    q.push_back(frame);
 }
 
 } // namespace ad::pipeline

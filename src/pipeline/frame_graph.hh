@@ -38,8 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bounded_queue.hh"
-
 namespace ad {
 
 class ThreadPool;
@@ -303,6 +301,10 @@ class FrameGraphExecutor
     /** Commit finished frames in order; notifies waiters. */
     void commitFinishedLocked();
 
+    /** Deliver @p frame on input edge @p edge of @p stage. */
+    void pushEdgeLocked(std::size_t stage, std::size_t edge,
+                        std::int64_t frame);
+
     FrameGraph graph_;
     Params params_;
     AdmitFn admit_;
@@ -314,13 +316,13 @@ class FrameGraphExecutor
     std::vector<std::vector<int>> consumers_; ///< stage -> consumers.
     /**
      * inQueues_[s][j]: frame ids delivered on stage s's j-th input
-     * edge (a single admission queue when s is a root). All queues of
-     * a stage advance in lockstep -- a frame is popped from every
-     * input at once when the stage dispatches -- so their fronts
-     * always agree. std::deque as the container because BoundedQueue
-     * is neither movable nor copyable.
+     * edge (a single admission queue when s is a root), guarded by
+     * mutex_. All queues of a stage advance in lockstep -- a frame is
+     * popped from every input at once when the stage dispatches -- so
+     * their fronts always agree. At most depth frames are in flight,
+     * so no edge ever holds more (pushEdgeLocked panics otherwise).
      */
-    std::vector<std::deque<BoundedQueue<std::int64_t>>> inQueues_;
+    std::vector<std::vector<std::deque<std::int64_t>>> inQueues_;
 
     mutable std::mutex mutex_;
     std::condition_variable slotFree_; ///< signaled on commit.

@@ -7,6 +7,7 @@
 #include <queue>
 #include <sstream>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/time.hh"
 #include "nn/kernel_context.hh"
@@ -14,6 +15,60 @@
 #include "obs/flight.hh"
 
 namespace ad::serve {
+
+// ----------------------------------------------------------------- params
+
+ModeledEngineParams
+ModeledEngineParams::fromConfig(const Config& cfg)
+{
+    ModeledEngineParams p;
+    p.fixedMs = cfg.getDouble("engine.fixed-ms", p.fixedMs);
+    p.marginalMs = cfg.getDouble("engine.marginal-ms", p.marginalMs);
+    p.jitterSigma = cfg.getDouble("engine.jitter", p.jitterSigma);
+    p.spikeP = cfg.getDouble("engine.spike-p", p.spikeP);
+    return p;
+}
+
+std::vector<std::string>
+ModeledEngineParams::knownConfigKeys()
+{
+    return {"engine.fixed-ms", "engine.marginal-ms", "engine.jitter",
+            "engine.spike-p"};
+}
+
+ServeParams
+ServeParams::fromConfig(const Config& cfg)
+{
+    ServeParams p;
+    p.stream.deadlineMs =
+        cfg.getDouble("deadline-ms", p.stream.deadlineMs);
+    p.stream.queueDepth = cfg.getInt("queue-depth", p.stream.queueDepth);
+    p.batch.maxBatch = cfg.getInt("batch-max", p.batch.maxBatch);
+    p.batch.maxWaitMs = cfg.getDouble("window-ms", p.batch.maxWaitMs);
+    p.admission.enabled = cfg.getBool("admission", p.admission.enabled);
+    p.seed = static_cast<std::uint64_t>(
+        cfg.getInt("seed", static_cast<int>(p.seed)));
+    p.governor =
+        pipeline::GovernorParams::fromConfig(cfg, p.stream.deadlineMs);
+    p.governor.enabled = true;
+    p.governor.budgetMs = p.stream.deadlineMs;
+    p.slo.windowFrames = cfg.getInt("slo.window", p.slo.windowFrames);
+    p.slo.targetMissRate =
+        cfg.getDouble("slo.target-miss-rate", p.slo.targetMissRate);
+    return p;
+}
+
+std::vector<std::string>
+ServeParams::knownConfigKeys()
+{
+    std::vector<std::string> keys = {
+        "deadline-ms", "queue-depth", "batch-max",
+        "window-ms",   "admission",   "seed",
+        "slo.window",  "slo.target-miss-rate"};
+    for (auto& k : pipeline::GovernorParams::knownConfigKeys())
+        keys.push_back(std::move(k));
+    return keys;
+}
 
 // ---------------------------------------------------------------- engines
 
@@ -125,6 +180,67 @@ ServeReport::toString() const
             << ", mean goodput ratio " << meanGoodput << '\n';
     }
     return oss.str();
+}
+
+obs::json::Value
+ServeReport::toJson() const
+{
+    obs::json::Array slo;
+    for (std::size_t i = 0; i < streamSlo.size(); ++i) {
+        const SloSnapshot& s = streamSlo[i];
+        slo.emplace_back(obs::json::Object{
+            {"stream", i}, {"window", s.window}, {"p50_ms", s.p50Ms},
+            {"p99_ms", s.p99Ms}, {"p999_ms", s.p999Ms},
+            {"miss_rate", s.missRate}, {"burn_rate", s.burnRate},
+            {"goodput_ratio", s.goodputRatio}, {"misses", s.misses},
+            {"total", s.total}});
+    }
+    obs::json::Object modes;
+    for (std::size_t m = 0; m < pipeline::kOperatingModeCount; ++m)
+        modes[pipeline::modeName(
+            static_cast<pipeline::OperatingMode>(m))] = framesInMode[m];
+    return obs::json::Object{
+        {"streams", streams}, {"frames_per_stream", framesPerStream},
+        {"arrived", framesArrived}, {"admitted", framesAdmitted},
+        {"degraded", framesDegraded}, {"coasted", framesCoasted},
+        {"shed", framesShed}, {"deadline_misses", deadlineMisses},
+        {"mean_ms", admittedLatency.mean}, {"p50_ms", admittedLatency.p50},
+        {"p99_ms", admittedLatency.p99},
+        {"p9999_ms", admittedLatency.p9999},
+        {"worst_ms", admittedLatency.worst}, {"goodput_fps", goodputFps},
+        {"total_goodput_fps", totalGoodputFps}, {"shed_rate", shedRate},
+        {"batches", batches}, {"mean_batch_size", meanBatchSize},
+        {"mean_batch_wait_ms", meanBatchWaitMs},
+        {"pressure_escalations", pressureEscalations},
+        {"duration_ms", durationMs}, {"frames_in_mode", std::move(modes)},
+        {"slo", std::move(slo)}};
+}
+
+std::vector<std::string>
+ServeReport::violations() const
+{
+    std::vector<std::string> out;
+    auto n = [](auto v) { return std::to_string(v); };
+    const std::int64_t resolved =
+        framesAdmitted + framesCoasted + framesShed;
+    if (resolved != framesArrived)
+        out.push_back("frame conservation: admitted + coasted + shed = " +
+                      n(resolved) + " != arrived " + n(framesArrived));
+    for (std::size_t i = 0; i < streamSlo.size(); ++i)
+        if (streamSlo[i].misses > streamSlo[i].total)
+            out.push_back("slo[" + n(i) + "]: misses " +
+                          n(streamSlo[i].misses) + " > total " +
+                          n(streamSlo[i].total));
+    if (framesPerStream == 0)
+        return out; // a fleet shard: no fixed inputs to check.
+    if (framesArrived != streams * framesPerStream)
+        out.push_back("arrivals: arrived " + n(framesArrived) +
+                      " != streams x frames " +
+                      n(streams * framesPerStream));
+    if (streamSlo.size() != static_cast<std::size_t>(streams))
+        out.push_back("slo entries: " + n(streamSlo.size()) + " for " +
+                      n(streams) + " streams");
+    return out;
 }
 
 // ----------------------------------------------------------------- server
@@ -542,7 +658,10 @@ MultiStreamServer::run(std::int64_t framesPerStream)
                            0, s.params.phaseMs, false});
     }
     drain();
-    return buildReport();
+    ServeReport report = buildReport();
+    report.streams = params_.streams;
+    report.framesPerStream = framesPerStream;
+    return report;
 }
 
 ServeReport

@@ -40,10 +40,15 @@
 
 #include "common/random.hh"
 #include "common/stats.hh"
+#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "serve/admission.hh"
 #include "serve/batch_scheduler.hh"
 #include "serve/stream.hh"
+
+namespace ad {
+class Config;
+}
 
 namespace ad::nn {
 class Network;
@@ -85,6 +90,13 @@ struct ModeledEngineParams
      */
     double spikeFactor = 2.0;
     std::uint64_t seed = 17;
+
+    /** Read the `engine.*` knobs (defaults from *this); callers
+        derive the seed from the serve seed. */
+    static ModeledEngineParams fromConfig(const Config& cfg);
+
+    /** The `engine.*` key registry. */
+    static std::vector<std::string> knownConfigKeys();
 };
 
 /**
@@ -167,6 +179,17 @@ struct ServeParams
     std::string metricPrefix = "serve";
     /** Per-stream SLO accounting knobs. */
     SloParams slo;
+
+    /**
+     * Read the knobs adserve and adfleet share (defaults from
+     * *this). The governors are the admission controller's
+     * actuators: always on, budget = deadline. Stream count, period
+     * and stagger are the caller's (adfleet's come from its tape).
+     */
+    static ServeParams fromConfig(const Config& cfg);
+
+    /** The keys fromConfig reads, `gov.*` included. */
+    static std::vector<std::string> knownConfigKeys();
 };
 
 /** Aggregate outcome of one serving run. */
@@ -194,9 +217,26 @@ struct ServeReport
         framesInMode{};
     /** Final per-stream SLO snapshots, indexed by stream id. */
     std::vector<SloSnapshot> streamSlo;
+    /** run()'s streams; 0 in a fleet shard's report, whose streams
+        come and go by migration. */
+    int streams = 0;
+    /** run()'s camera frames per stream; 0 in a fleet shard's
+        report, whose arrivals come from a tape. */
+    std::int64_t framesPerStream = 0;
 
     /** Multi-line human-readable summary. */
     std::string toString() const;
+
+    /** The report as JSON (the `--serve-json` document). */
+    obs::json::Value toJson() const;
+
+    /**
+     * One message per broken invariant, naming it: admitted +
+     * coasted + shed == arrived; SLO misses <= total; for run()
+     * (framesPerStream > 0) also arrived == streams x
+     * framesPerStream and one SLO entry per stream.
+     */
+    std::vector<std::string> violations() const;
 };
 
 /**

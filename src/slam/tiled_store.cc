@@ -13,7 +13,8 @@ namespace fs = std::filesystem;
 
 TiledMapStore::TiledMapStore(std::string directory,
                              const TiledStoreParams& params)
-    : directory_(std::move(directory)), params_(params)
+    : directory_(std::move(directory)), params_(params),
+      cache_(params.cacheTiles)
 {
     if (params.tileSize <= 0)
         fatal("TiledMapStore: tile size must be positive");
@@ -100,13 +101,9 @@ TiledMapStore::open()
 const std::vector<MapPoint>&
 TiledMapStore::loadTile(const TileKey& key)
 {
-    // Cache lookup (move-to-front on hit).
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-        if (!(it->first < key) && !(key < it->first)) {
-            ++stats_.tileHits;
-            cache_.splice(cache_.begin(), cache_, it);
-            return cache_.front().second;
-        }
+    if (const auto* cached = cache_.find(key)) {
+        ++stats_.tileHits;
+        return *cached;
     }
 
     // Page the tile in.
@@ -121,10 +118,8 @@ TiledMapStore::loadTile(const TileKey& key)
         points = tile.points();
         stats_.bytesRead += idx->second;
     }
-    cache_.emplace_front(key, std::move(points));
-    while (cache_.size() > params_.cacheTiles)
-        cache_.pop_back();
-    return cache_.front().second;
+    cache_.put(key, std::move(points));
+    return *cache_.peek(key);
 }
 
 std::vector<MapPoint>
@@ -167,14 +162,7 @@ TiledMapStore::prefetch(const Vec2& pos, const Vec2& velocity,
         if (!(key < last) && !(last < key))
             continue;
         last = key;
-        bool warm = false;
-        for (const auto& entry : cache_) {
-            if (!(entry.first < key) && !(key < entry.first)) {
-                warm = true;
-                break;
-            }
-        }
-        if (warm) {
+        if (cache_.peek(key)) {
             ++stats_.prefetchHits;
             continue;
         }

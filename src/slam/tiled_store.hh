@@ -14,11 +14,11 @@
 #define AD_SLAM_TILED_STORE_HH
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/lru_cache.hh"
 #include "slam/map.hh"
 
 namespace ad::slam {
@@ -113,8 +113,7 @@ class TiledMapStore
     std::string directory_;
     TiledStoreParams params_;
     std::map<TileKey, std::uint64_t> index_; ///< key -> bytes on disk.
-    // LRU cache: most recent at the front.
-    std::list<std::pair<TileKey, std::vector<MapPoint>>> cache_;
+    LruCache<TileKey, std::vector<MapPoint>> cache_;
     TileStats stats_;
 };
 

@@ -19,6 +19,7 @@
 #include "obs/obs.hh"
 #include "pipeline/fault_injector.hh"
 #include "pipeline/governor.hh"
+#include "serve/serve.hh"
 
 namespace {
 
@@ -171,9 +172,14 @@ TEST(Config, EveryRegisteredKnobIsDocumented)
     for (const auto& k :
          ad::mapserve::MapClientParams::knownConfigKeys())
         keys.push_back(k);
-    // The tool-private lists, kept in sync by hand with
-    // tools/adrun.cc, tools/adserve.cc and tools/adfleet.cc
-    // knownKeys().
+    for (const auto& k : ad::serve::ServeParams::knownConfigKeys())
+        keys.push_back(k);
+    for (const auto& k :
+         ad::serve::ModeledEngineParams::knownConfigKeys())
+        keys.push_back(k);
+    // The tool-private lists, kept in sync by hand with the
+    // knownKeys() of tools/adrun.cc, tools/adserve.cc,
+    // tools/adfleet.cc and tools/admapserve.cc.
     for (const char* k :
          {"scenario", "frames", "resolution", "seed", "csv",
           "det-input", "det-width", "summary", "length", "nn.threads",
@@ -181,11 +187,7 @@ TEST(Config, EveryRegisteredKnobIsDocumented)
           "pipeline.seed"})
         keys.push_back(k);
     for (const char* k :
-         {"streams", "period-ms", "deadline-ms", "queue-depth",
-          "batch-max", "window-ms", "admission", "stagger", "measured",
-          "serve-json", "check", "engine.fixed-ms",
-          "engine.marginal-ms", "engine.jitter", "engine.spike-p",
-          "slo.window", "slo.target-miss-rate"})
+         {"streams", "period-ms", "stagger", "measured", "serve-json"})
         keys.push_back(k);
     for (const char* k : {"fleet-json", "map-json"})
         keys.push_back(k);

@@ -9,22 +9,29 @@
  * the fleet co-simulation end to end -- prefetch eliminating steady
  * stalls, demand fallback when prefetch is off, stale-version
  * read-after-merge refresh, parallel==serial batch decode (the TSan
- * target) and triple-run bitwise determinism.
+ * target) and triple-run bitwise determinism -- plus the report's
+ * invariant check and JSON form, and the LruCache the map tier's
+ * three caches share.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/lru_cache.hh"
 #include "fleet/loadgen.hh"
 #include "mapserve/client.hh"
 #include "mapserve/server.hh"
 #include "mapserve/sim.hh"
 #include "mapserve/tile_codec.hh"
 #include "mapserve/world.hh"
+#include "obs/json.hh"
+#include "report_checks.hh"
 
 namespace {
 
@@ -390,18 +397,13 @@ TEST(MapServeSim, PrefetchMissFallsBackToDemandFetch)
     sp.client.prefetch = false;
     const MapServeReport r = MapServeSim(sp, load).run();
 
-    EXPECT_EQ(r.framesWarm + r.framesStalled + r.framesCoasted,
-              r.frames);
     EXPECT_GT(r.framesStalled, 0);
     EXPECT_EQ(static_cast<std::int64_t>(r.stallMs.count),
               r.framesStalled);
-    EXPECT_EQ(r.steadyStalls + r.coldStarts, r.framesStalled);
     EXPECT_GT(r.demandLatency.count, 0u);
     EXPECT_GT(r.stallMs.p99, 0.0);
-    // Request conservation on the server side.
-    EXPECT_EQ(r.server.served + r.server.admissionShed +
-                  r.server.queueEvictions,
-              r.server.submitted);
+    // Frame, stall-split and server-side request conservation.
+    EXPECT_EQ(r.violations(), std::vector<std::string>{});
 }
 
 TEST(MapServeSim, StaleReadRefreshesAfterMerge)
@@ -422,6 +424,7 @@ TEST(MapServeSim, StaleReadRefreshesAfterMerge)
     EXPECT_GT(r.staleRefreshes, 0);
     EXPECT_FALSE(r.versionLog.empty());
     EXPECT_GT(r.peakErrBits, 0.0);
+    EXPECT_EQ(r.violations(), std::vector<std::string>{});
 
     // The update loop must beat the frozen map: same drift with
     // pushes disabled ends with strictly more appearance error.
@@ -456,7 +459,7 @@ TEST(MapServeSim, ParallelDecodeMatchesSerial)
 
     const MapServeReport a = MapServeSim(serial, load).run();
     const MapServeReport b = MapServeSim(parallel, load).run();
-    EXPECT_EQ(a.summaryString(), b.summaryString());
+    EXPECT_EQ(obs::json::dump(a.toJson()), obs::json::dump(b.toJson()));
     EXPECT_EQ(a.versionLog, b.versionLog);
 }
 
@@ -469,7 +472,7 @@ TEST(MapServeSim, TripleRunBitwiseDeterminism)
     std::vector<std::string> summaries, logs;
     for (int run = 0; run < 3; ++run) {
         const MapServeReport r = MapServeSim(sp, load).run();
-        summaries.push_back(r.summaryString());
+        summaries.push_back(obs::json::dump(r.toJson()));
         logs.push_back(r.versionLog);
     }
     EXPECT_EQ(summaries[0], summaries[1]);
@@ -477,6 +480,115 @@ TEST(MapServeSim, TripleRunBitwiseDeterminism)
     EXPECT_EQ(logs[0], logs[1]);
     EXPECT_EQ(logs[1], logs[2]);
     EXPECT_FALSE(logs[0].empty());
+}
+
+// ----------------------------------------------- report invariants
+
+/** A drifting run with merges, prefetch and demand traffic. */
+MapServeReport
+driftingRun()
+{
+    const fleet::ScenarioLoadGen load(tape(16, 6000.0));
+    MapServeSimParams sp;
+    sp.driftPerMin = 2.0;
+    return MapServeSim(sp, load).run();
+}
+
+TEST(MapServeReport, TamperedCopiesNameTheBrokenInvariant)
+{
+    const MapServeReport real = driftingRun();
+    ASSERT_GT(real.server.served, 0);
+    test::expectTampersNamed<MapServeReport>(
+        real,
+        {{"run shape", [](MapServeReport& r) { r.vehicles = 0; }},
+         {"frame conservation", [](MapServeReport& r) { ++r.framesWarm; }},
+         {"stall split", [](MapServeReport& r) { ++r.coldStarts; }},
+         {"request conservation",
+          [](MapServeReport& r) { ++r.server.submitted; }},
+         {"cache accounting",
+          [](MapServeReport& r) { ++r.server.cacheHits; }},
+         {"compression accounting",
+          [](MapServeReport& r) {
+              r.server.rawBytes = r.server.bytesServed - 1;
+          }},
+         {"update accounting", [](MapServeReport& r) {
+              r.server.updatesMerged = r.updatesPushed + 1;
+          }}});
+}
+
+TEST(MapServeReport, JsonRoundTripsEveryReportField)
+{
+    const MapServeReport r = driftingRun();
+    // The log fingerprint is a 64-bit FNV-1a, which a double cannot
+    // hold: it travels as 16 hex digits.
+    std::uint64_t fnv = 0xcbf29ce484222325ull;
+    for (const char c : r.versionLog)
+        fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fnv));
+    const TileServerStats& s = r.server;
+    test::expectFields(
+        test::roundTrip(r.toJson()),
+        {{"vehicles", r.vehicles}, {"frames", r.frames},
+         {"warm", r.framesWarm}, {"stalled", r.framesStalled},
+         {"coasted", r.framesCoasted}, {"steady_stalls", r.steadyStalls},
+         {"cold_starts", r.coldStarts}, {"submitted", s.submitted},
+         {"served", s.served}, {"admission_shed", s.admissionShed},
+         {"queue_evictions", s.queueEvictions},
+         {"cache_hits", s.cacheHits}, {"cache_misses", s.cacheMisses},
+         {"bytes_served", s.bytesServed}, {"raw_bytes", s.rawBytes},
+         {"updates_pushed", r.updatesPushed},
+         {"updates_merged", s.updatesMerged}, {"batches", s.batches},
+         {"fetch_p99_ms", r.fetchLatency.p99},
+         {"hit_rate", r.prefetchHitRate},
+         {"version_log_fnv", std::string(hex)}});
+}
+
+// ------------------------------------------------------------- LRU
+
+TEST(LruCache, EvictsLeastRecentlyUsed)
+{
+    LruCache<int, std::string> cache(3);
+    EXPECT_FALSE(cache.put(1, "a"));
+    EXPECT_FALSE(cache.put(2, "b"));
+    EXPECT_FALSE(cache.put(3, "c"));
+    ASSERT_NE(cache.find(1), nullptr); // recency now 1, 3, 2.
+    EXPECT_EQ(cache.put(4, "d"), std::optional<int>(2));
+    EXPECT_FALSE(cache.put(3, "c2")); // replace: touches, no eviction.
+    EXPECT_EQ(*cache.find(3), "c2");
+    EXPECT_EQ(cache.put(5, "e"), std::optional<int>(1)); // 3, 4 newer.
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.peek(1), nullptr);
+}
+
+TEST(LruCache, PeekDoesNotTouchAndEraseFreesASlot)
+{
+    LruCache<int, int> cache(2);
+    cache.put(1, 10);
+    cache.put(2, 20);
+    EXPECT_EQ(*cache.peek(1), 10);
+    // 1 is still the least recent: peek left the order alone.
+    EXPECT_EQ(cache.put(3, 30), std::optional<int>(1));
+    EXPECT_TRUE(cache.erase(2));
+    EXPECT_FALSE(cache.erase(2));
+    EXPECT_EQ(cache.find(2), nullptr);
+    EXPECT_FALSE(cache.put(4, 40)); // the erased slot is free.
+    EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(LruCache, CapacityOneKeepsTheNewestAndZeroKeepsNothing)
+{
+    LruCache<int, int> one(1);
+    EXPECT_FALSE(one.put(1, 10));
+    EXPECT_EQ(one.put(2, 20), std::optional<int>(1));
+    EXPECT_EQ(*one.find(2), 20);
+    EXPECT_EQ(one.find(1), nullptr);
+    // Capacity 0 is the tile server's "cache off".
+    LruCache<int, int> none(0);
+    EXPECT_FALSE(none.put(1, 10));
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_EQ(none.find(1), nullptr);
 }
 
 // ------------------------------------------------------------ config

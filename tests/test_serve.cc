@@ -6,19 +6,23 @@
  * degradation, and the MultiStreamServer end to end -- conservation
  * invariants, bit-reproducibility, the overload acceptance property
  * (admission + batching holds the admitted tail where the serial
- * baseline cannot), real-NN batched inference, and per-stream labeled
- * metrics.
+ * baseline cannot), real-NN batched inference, per-stream labeled
+ * metrics, and the report's invariant check and JSON form.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/random.hh"
 #include "nn/kernel_context.hh"
 #include "nn/models.hh"
+#include "report_checks.hh"
 #include "serve/serve.hh"
 
 namespace {
@@ -325,11 +329,10 @@ TEST(MultiStreamServer, ConservationInvariant)
     MultiStreamServer server(sp, engine);
     const ServeReport r = server.run(200);
 
-    EXPECT_EQ(r.framesArrived, 6 * 200);
+    // Every arrival is exactly one of engine-served, coasted or
+    // shed, and every stream saw all 200 frames.
+    EXPECT_EQ(r.violations(), std::vector<std::string>{});
     EXPECT_EQ(server.registry().totalArrived(), 6 * 200);
-    // Every arrival is exactly one of engine-served, coasted or shed.
-    EXPECT_EQ(r.framesAdmitted + r.framesCoasted + r.framesShed,
-              r.framesArrived);
     // Every admitted frame completed (the run drains fully).
     std::int64_t completed = 0;
     for (int i = 0; i < sp.streams; ++i)
@@ -341,23 +344,10 @@ TEST(MultiStreamServer, ConservationInvariant)
 
 TEST(MultiStreamServer, SameSeedIsBitReproducible)
 {
+    // The report JSON carries every field, to the last bit.
     const ServeParams sp = modeledParams(8, true);
-    const ServeReport a = runModeled(sp, 250);
-    const ServeReport b = runModeled(sp, 250);
-    EXPECT_EQ(a.framesArrived, b.framesArrived);
-    EXPECT_EQ(a.framesAdmitted, b.framesAdmitted);
-    EXPECT_EQ(a.framesDegraded, b.framesDegraded);
-    EXPECT_EQ(a.framesCoasted, b.framesCoasted);
-    EXPECT_EQ(a.framesShed, b.framesShed);
-    EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-    EXPECT_EQ(a.batches, b.batches);
-    EXPECT_EQ(a.pressureEscalations, b.pressureEscalations);
-    EXPECT_DOUBLE_EQ(a.admittedLatency.mean, b.admittedLatency.mean);
-    EXPECT_DOUBLE_EQ(a.admittedLatency.p9999,
-                     b.admittedLatency.p9999);
-    EXPECT_DOUBLE_EQ(a.goodputFps, b.goodputFps);
-    EXPECT_DOUBLE_EQ(a.durationMs, b.durationMs);
-    EXPECT_EQ(a.framesInMode, b.framesInMode);
+    EXPECT_EQ(obs::json::dump(runModeled(sp, 250).toJson()),
+              obs::json::dump(runModeled(sp, 250).toJson()));
 }
 
 TEST(MultiStreamServer, OverloadAcceptanceProperty)
@@ -415,6 +405,75 @@ TEST(MultiStreamServer, ReportToStringNamesTheHeadlines)
     EXPECT_NE(s.find("frames arrived"), std::string::npos);
     EXPECT_NE(s.find("goodput"), std::string::npos);
     EXPECT_NE(s.find("NOMINAL"), std::string::npos);
+}
+
+TEST(ServeParams, FromConfigReadsTheSharedServeKnobs)
+{
+    Config cfg;
+    cfg.set("deadline-ms", "80");
+    cfg.set("batch-max", "4");
+    cfg.set("admission", "0");
+    cfg.set("engine.fixed-ms", "2");
+    const ServeParams sp = ServeParams::fromConfig(cfg);
+    EXPECT_EQ(sp.stream.deadlineMs, 80.0);
+    EXPECT_EQ(sp.batch.maxBatch, 4);
+    EXPECT_FALSE(sp.admission.enabled);
+    // The governors are the admission controller's actuators: always
+    // on, with the stream deadline as their budget.
+    EXPECT_TRUE(sp.governor.enabled);
+    EXPECT_EQ(sp.governor.budgetMs, 80.0);
+    EXPECT_EQ(ModeledEngineParams::fromConfig(cfg).fixedMs, 2.0);
+    // Stream count, period and stagger stay the caller's: adfleet
+    // takes them from its load generator and must not accept them.
+    const auto keys = ServeParams::knownConfigKeys();
+    for (const char* own : {"streams", "period-ms", "stagger"})
+        EXPECT_EQ(std::count(keys.begin(), keys.end(), own), 0) << own;
+}
+
+TEST(ServeReport, TamperedCopiesNameTheBrokenInvariant)
+{
+    const ServeReport real = runModeled(modeledParams(4, true), 100);
+    test::expectTampersNamed<ServeReport>(
+        real,
+        {{"frame conservation", [](ServeReport& r) { ++r.framesCoasted; }},
+         {"slo[2]",
+          [](ServeReport& r) {
+              r.streamSlo[2].misses = r.streamSlo[2].total + 1;
+          }},
+         {"arrivals", [](ServeReport& r) { ++r.framesPerStream; }},
+         {"slo entries", [](ServeReport& r) { r.streamSlo.pop_back(); }}});
+    // A fleet shard's report has no run() inputs to hold it to.
+    ServeReport shard = real;
+    shard.framesPerStream = 0;
+    shard.streamSlo.pop_back();
+    EXPECT_EQ(shard.violations(), std::vector<std::string>{});
+}
+
+TEST(ServeReport, JsonRoundTripsEveryReportField)
+{
+    const ServeReport r = runModeled(modeledParams(4, true), 100);
+    const obs::json::Value doc = test::roundTrip(r.toJson());
+    test::expectFields(
+        doc, {{"streams", 4}, {"frames_per_stream", 100},
+              {"arrived", r.framesArrived}, {"admitted", r.framesAdmitted},
+              {"coasted", r.framesCoasted}, {"shed", r.framesShed},
+              {"p9999_ms", r.admittedLatency.p9999},
+              {"goodput_fps", r.goodputFps}, {"shed_rate", r.shedRate}});
+    ASSERT_TRUE(doc.find("slo") && doc.find("frames_in_mode"));
+    test::expectFields(*doc.find("frames_in_mode"),
+                       {{"NOMINAL", r.framesInMode[0]}});
+    const obs::json::Array& slo = doc.find("slo")->asArray();
+    ASSERT_EQ(slo.size(), r.streamSlo.size());
+    for (std::size_t i = 0; i < slo.size(); ++i) {
+        const SloSnapshot& s = r.streamSlo[i];
+        test::expectFields(
+            slo[i], {{"stream", i}, {"window", s.window},
+                     {"p50_ms", s.p50Ms}, {"p99_ms", s.p99Ms},
+                     {"p999_ms", s.p999Ms}, {"miss_rate", s.missRate},
+                     {"burn_rate", s.burnRate},
+                     {"goodput_ratio", s.goodputRatio},
+                     {"misses", s.misses}, {"total", s.total}});
+    }
 }
 
 TEST(NnBatchEngine, BatchedInferenceMatchesSerialChecksum)
@@ -603,16 +662,9 @@ TEST(MultiStreamServer, SloSnapshotsAreBitReproducible)
     MultiStreamServer s2(sp, e2);
     const ServeReport a = s1.run(200);
     const ServeReport b = s2.run(200);
-    ASSERT_EQ(a.streamSlo.size(), b.streamSlo.size());
-    for (std::size_t i = 0; i < a.streamSlo.size(); ++i) {
-        EXPECT_EQ(a.streamSlo[i].total, b.streamSlo[i].total);
-        EXPECT_EQ(a.streamSlo[i].misses, b.streamSlo[i].misses);
-        EXPECT_DOUBLE_EQ(a.streamSlo[i].p99Ms, b.streamSlo[i].p99Ms);
-        EXPECT_DOUBLE_EQ(a.streamSlo[i].burnRate,
-                         b.streamSlo[i].burnRate);
-        EXPECT_DOUBLE_EQ(a.streamSlo[i].goodputRatio,
-                         b.streamSlo[i].goodputRatio);
-    }
+    ASSERT_EQ(a.streamSlo.size(), 3u);
+    EXPECT_EQ(obs::json::dump(*a.toJson().find("slo")),
+              obs::json::dump(*b.toJson().find("slo")));
 }
 
 } // namespace

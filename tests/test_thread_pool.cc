@@ -13,11 +13,9 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/bounded_queue.hh"
 #include "common/parallel_for.hh"
 #include "common/thread_pool.hh"
 
@@ -272,71 +270,6 @@ TEST(ParallelFor, SharedWorkerPoolIsUsable)
                     counter.fetch_add(static_cast<int>(hi - lo));
                 });
     EXPECT_EQ(counter.load(), 128);
-}
-
-TEST(BoundedQueue, FifoOrderAndCapacity)
-{
-    ad::BoundedQueue<int> q(3);
-    EXPECT_EQ(q.capacity(), 3u);
-    EXPECT_TRUE(q.empty());
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_TRUE(q.tryPush(2));
-    EXPECT_TRUE(q.tryPush(3));
-    EXPECT_FALSE(q.tryPush(4)) << "push past capacity must fail";
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.peek().value_or(-1), 1);
-    EXPECT_EQ(q.tryPop().value_or(-1), 1);
-    EXPECT_EQ(q.tryPop().value_or(-1), 2);
-    EXPECT_TRUE(q.tryPush(4)) << "pop must free a slot";
-    EXPECT_EQ(q.tryPop().value_or(-1), 3);
-    EXPECT_EQ(q.tryPop().value_or(-1), 4);
-    EXPECT_FALSE(q.tryPop().has_value());
-    EXPECT_FALSE(q.peek().has_value());
-}
-
-TEST(BoundedQueue, ZeroCapacityClampedToOne)
-{
-    ad::BoundedQueue<int> q(0);
-    EXPECT_EQ(q.capacity(), 1u);
-    EXPECT_TRUE(q.tryPush(7));
-    EXPECT_FALSE(q.tryPush(8));
-    EXPECT_EQ(q.tryPop().value_or(-1), 7);
-}
-
-TEST(BoundedQueue, BlockingHandoffAcrossThreads)
-{
-    // Producer pushes more items than the capacity, so it must block
-    // on the full queue until the consumer drains; the consumer
-    // blocks on the empty queue until items arrive. The test passes
-    // iff both sides make progress and order is preserved.
-    ad::BoundedQueue<int> q(2);
-    constexpr int kItems = 100;
-    std::vector<int> got;
-    std::thread consumer([&] {
-        while (auto v = q.pop())
-            got.push_back(*v);
-    });
-    for (int i = 0; i < kItems; ++i)
-        EXPECT_TRUE(q.push(i));
-    q.close();
-    consumer.join();
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
-    for (int i = 0; i < kItems; ++i)
-        EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-}
-
-TEST(BoundedQueue, CloseReleasesBlockedProducer)
-{
-    ad::BoundedQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-    std::thread closer([&] { q.close(); });
-    // Full queue: this push can only return (false) via close().
-    EXPECT_FALSE(q.push(2));
-    closer.join();
-    EXPECT_TRUE(q.closed());
-    // Drain what was queued before the close, then observe the end.
-    EXPECT_EQ(q.pop().value_or(-1), 1);
-    EXPECT_FALSE(q.pop().has_value());
 }
 
 } // namespace

@@ -2,15 +2,16 @@
  * @file
  * Tests for the frame-scoped tracing layer: span collection across
  * threads, frame-id tagging, Chrome trace_event JSON export (verified
- * by parsing the emitted document back, not by grepping), the
- * disabled-is-inert contract, and the acceptance-criterion determinism
- * test -- pipeline outputs are bitwise-identical with observability on
- * or off.
+ * by parsing the emitted document back, not by grepping), the JSON
+ * writer's exact round trip, the disabled-is-inert contract, and the
+ * acceptance-criterion determinism test -- pipeline outputs are
+ * bitwise-identical with observability on or off.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -167,6 +168,44 @@ TEST(TraceRecorder, ChromeTraceJsonParsesBack)
     EXPECT_TRUE(names.count("DET"));
     EXPECT_TRUE(names.count("quote\"back\\slash"));
     EXPECT_TRUE(names.count("newline\ntab\t"));
+}
+
+TEST(Json, DumpRoundTripsEveryValue)
+{
+    using obs::json::Array;
+    using obs::json::Object;
+    using obs::json::Value;
+    const Value doc = Object{
+        {"int", 9007199254740992LL}, // 2^53: largest exact integer.
+        {"neg", -3}, {"frac", 0.1}, {"tiny", 4.9e-324},
+        {"huge", 1.7976931348623157e308},
+        {"text", "quote\"back\\slash\nnewline\ttab\x01"},
+        {"flag", true}, {"none", nullptr},
+        {"list", Array{1, "two", Array{}, Object{}}},
+        {"nested", Object{{"b", 2.5}, {"a", false}}}};
+    const std::string text = obs::json::dump(doc);
+    std::string error;
+    const auto back = obs::json::parse(text, &error);
+    ASSERT_TRUE(back) << error;
+    // Equal values dump to equal bytes, so a round trip is a fixed
+    // point -- and every number came back exactly.
+    EXPECT_EQ(obs::json::dump(*back), text);
+    EXPECT_EQ(back->find("int")->asNumber(), 9007199254740992.0);
+    EXPECT_EQ(back->find("frac")->asNumber(), 0.1);
+    EXPECT_EQ(back->find("tiny")->asNumber(), 4.9e-324);
+    EXPECT_EQ(back->find("huge")->asNumber(), 1.7976931348623157e308);
+    EXPECT_EQ(back->find("text")->asString(),
+              "quote\"back\\slash\nnewline\ttab\x01");
+    EXPECT_TRUE(back->find("none")->isNull());
+    EXPECT_EQ(back->find("list")->asArray().size(), 4u);
+    EXPECT_EQ(back->find("nested")->find("b")->asNumber(), 2.5);
+    // Members come out in key order.
+    EXPECT_LT(text.find("\"a\""), text.find("\"b\""));
+    // JSON has no infinity or NaN.
+    EXPECT_EQ(obs::json::dump(obs::json::Array{
+                  std::numeric_limits<double>::infinity(),
+                  std::numeric_limits<double>::quiet_NaN()}),
+              "[\n  null,\n  null\n]\n");
 }
 
 /**

@@ -19,15 +19,13 @@
  *           [--window-ms=6] [--admission=1] [--seed=29]
  *           [--engine.fixed-ms=8] [--engine.marginal-ms=9]
  *           [--fleet-json=out.json] [--summary] [--metrics]
- *   adfleet --check=out.json
  *
- * --fleet-json writes a machine-readable fleet report (fleet
- * aggregates, per-shard rows, the migration log); --check parses one
- * back, validates its structure, the fleet and per-shard frame
- * conservation invariants (arrived == admitted + coasted + shed;
- * each shard's injected == completions + sheds) and migration-log
- * sanity, and exits nonzero on any violation. The adfleet smoke
- * fixture in tools/CMakeLists.txt runs exactly that pair.
+ * --fleet-json writes the fleet report as JSON
+ * (FleetReport::toJson: fleet aggregates, per-shard rows with each
+ * shard's serve report nested, the migration log). Every run checks
+ * the report's invariants (FleetReport::violations: fleet and
+ * per-shard frame conservation, migration-log sanity, ...) and exits
+ * 1, printing each violation, when one is broken.
  */
 
 #include <cstdio>
@@ -48,231 +46,16 @@ using namespace ad;
 std::vector<std::string>
 knownKeys()
 {
-    std::vector<std::string> keys = {
-        "deadline-ms", "queue-depth", "batch-max",
-        "window-ms",   "admission",   "seed",
-        "engine.fixed-ms", "engine.marginal-ms",
-        "engine.jitter",   "engine.spike-p",
-        "slo.window",  "slo.target-miss-rate",
-        "fleet-json",  "summary",     "check"};
-    for (const auto& k : fleet::FleetParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : fleet::RebalanceParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : fleet::LoadGenParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : obs::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : pipeline::GovernorParams::knownConfigKeys())
-        keys.push_back(k);
+    std::vector<std::string> keys = {"fleet-json", "summary"};
+    for (auto* registry : {&serve::ServeParams::knownConfigKeys,
+                           &serve::ModeledEngineParams::knownConfigKeys,
+                           &fleet::FleetParams::knownConfigKeys,
+                           &fleet::RebalanceParams::knownConfigKeys,
+                           &fleet::LoadGenParams::knownConfigKeys,
+                           &obs::knownConfigKeys})
+        for (auto& k : registry())
+            keys.push_back(std::move(k));
     return keys;
-}
-
-void
-writeReport(const std::string& path, const fleet::FleetReport& r)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write '", path, "'");
-    const auto& q = r.admittedLatency;
-    out << "{\n"
-        << "  \"shards\": " << r.shards << ",\n"
-        << "  \"streams\": " << r.streamsRequested << ",\n"
-        << "  \"streams_admitted\": " << r.streamsAdmitted << ",\n"
-        << "  \"arrived\": " << r.framesArrived << ",\n"
-        << "  \"admitted\": " << r.framesAdmitted << ",\n"
-        << "  \"degraded\": " << r.framesDegraded << ",\n"
-        << "  \"coasted\": " << r.framesCoasted << ",\n"
-        << "  \"shed\": " << r.framesShed << ",\n"
-        << "  \"deadline_misses\": " << r.deadlineMisses << ",\n"
-        << "  \"p50_ms\": " << q.p50 << ",\n"
-        << "  \"p99_ms\": " << q.p99 << ",\n"
-        << "  \"p9999_ms\": " << q.p9999 << ",\n"
-        << "  \"worst_ms\": " << q.worst << ",\n"
-        << "  \"goodput_fps\": " << r.goodputFps << ",\n"
-        << "  \"total_goodput_fps\": " << r.totalGoodputFps << ",\n"
-        << "  \"shed_rate\": " << r.shedRate << ",\n"
-        << "  \"duration_ms\": " << r.durationMs << ",\n"
-        << "  \"epochs\": " << r.epochs << ",\n"
-        << "  \"migrations\": " << r.migrations << ",\n"
-        << "  \"fleet_escalations\": " << r.fleetEscalations << ",\n"
-        << "  \"shard_rows\": [";
-    for (std::size_t i = 0; i < r.shardRows.size(); ++i) {
-        const auto& row = r.shardRows[i];
-        out << (i ? "," : "") << "\n    {\"shard\": " << row.shard
-            << ", \"streams_final\": " << row.streamsFinal
-            << ", \"injected\": " << row.arrivalsInjected
-            << ", \"completions\": " << row.completions
-            << ", \"sheds\": " << row.sheds
-            << ", \"batches\": " << row.batches
-            << ", \"p9999_ms\": " << row.admittedLatency.p9999
-            << ", \"goodput_fps\": " << row.goodputFps
-            << ", \"burn_rate\": " << row.burnRate
-            << ", \"migrations_in\": " << row.migrationsIn
-            << ", \"migrations_out\": " << row.migrationsOut << "}";
-    }
-    out << "\n  ],\n"
-        << "  \"migration_log\": [";
-    for (std::size_t i = 0; i < r.migrationLog.size(); ++i) {
-        const auto& m = r.migrationLog[i];
-        out << (i ? "," : "") << "\n    {\"epoch\": " << m.epoch
-            << ", \"t_ms\": " << m.tMs
-            << ", \"stream\": " << m.stream
-            << ", \"from\": " << m.fromShard
-            << ", \"to\": " << m.toShard << "}";
-    }
-    out << "\n  ]\n"
-        << "}\n";
-    std::fprintf(stderr, "fleet report: %s\n", path.c_str());
-}
-
-/** Validate a --fleet-json report; returns the process exit code. */
-int
-checkReport(const std::string& path)
-{
-    std::string err;
-    const auto doc = obs::json::parseFile(path, &err);
-    if (!doc) {
-        std::fprintf(stderr, "adfleet --check: %s: %s\n", path.c_str(),
-                     err.c_str());
-        return 1;
-    }
-    if (!doc->isObject()) {
-        std::fprintf(stderr, "adfleet --check: %s: not an object\n",
-                     path.c_str());
-        return 1;
-    }
-    int failures = 0;
-    auto number = [&](const char* key) -> double {
-        const auto* v = doc->find(key);
-        if (!v || !v->isNumber()) {
-            std::fprintf(stderr,
-                         "adfleet --check: missing numeric \"%s\"\n",
-                         key);
-            ++failures;
-            return 0.0;
-        }
-        return v->asNumber();
-    };
-    const double shards = number("shards");
-    const double streams = number("streams");
-    const double streamsAdmitted = number("streams_admitted");
-    const double arrived = number("arrived");
-    const double admitted = number("admitted");
-    const double coasted = number("coasted");
-    const double shed = number("shed");
-    const double migrations = number("migrations");
-    number("p9999_ms");
-    number("goodput_fps");
-    number("epochs");
-    number("fleet_escalations");
-    if (failures)
-        return 1;
-    if (shards < 1 || streamsAdmitted > streams) {
-        std::fprintf(stderr,
-                     "adfleet --check: implausible shards/streams\n");
-        ++failures;
-    }
-    if (admitted + coasted + shed != arrived) {
-        std::fprintf(stderr,
-                     "adfleet --check: conservation violated: "
-                     "admitted %.0f + coasted %.0f + shed %.0f != "
-                     "arrived %.0f\n",
-                     admitted, coasted, shed, arrived);
-        ++failures;
-    }
-    const auto* rows = doc->find("shard_rows");
-    if (!rows || !rows->isArray() ||
-        static_cast<double>(rows->asArray().size()) != shards) {
-        std::fprintf(
-            stderr,
-            "adfleet --check: \"shard_rows\" must have one row "
-            "per shard\n");
-        ++failures;
-    } else {
-        double injectedTotal = 0.0;
-        double streamsFinal = 0.0;
-        for (std::size_t i = 0; i < rows->asArray().size(); ++i) {
-            const auto& row = rows->asArray()[i];
-            auto field = [&](const char* key) -> double {
-                const auto* v = row.isObject() ? row.find(key)
-                                               : nullptr;
-                if (!v || !v->isNumber()) {
-                    std::fprintf(stderr,
-                                 "adfleet --check: shard_rows[%zu] "
-                                 "lacks numeric \"%s\"\n",
-                                 i, key);
-                    ++failures;
-                    return 0.0;
-                }
-                return v->asNumber();
-            };
-            const double injected = field("injected");
-            const double completions = field("completions");
-            const double sheds = field("sheds");
-            field("burn_rate");
-            field("p9999_ms");
-            // Migrations only move quiescent streams, so every
-            // arrival injected into a shard is resolved on it.
-            if (injected != completions + sheds) {
-                std::fprintf(stderr,
-                             "adfleet --check: shard_rows[%zu]: "
-                             "injected %.0f != completions %.0f + "
-                             "sheds %.0f\n",
-                             i, injected, completions, sheds);
-                ++failures;
-            }
-            injectedTotal += injected;
-            streamsFinal += field("streams_final");
-        }
-        if (injectedTotal != arrived) {
-            std::fprintf(stderr,
-                         "adfleet --check: per-shard injected sums "
-                         "to %.0f, arrived is %.0f\n",
-                         injectedTotal, arrived);
-            ++failures;
-        }
-        if (streamsFinal != streamsAdmitted) {
-            std::fprintf(stderr,
-                         "adfleet --check: resident streams %.0f != "
-                         "admitted %.0f\n",
-                         streamsFinal, streamsAdmitted);
-            ++failures;
-        }
-    }
-    const auto* log = doc->find("migration_log");
-    if (!log || !log->isArray() ||
-        static_cast<double>(log->asArray().size()) != migrations) {
-        std::fprintf(stderr,
-                     "adfleet --check: \"migration_log\" must have "
-                     "one entry per migration\n");
-        ++failures;
-    } else {
-        for (std::size_t i = 0; i < log->asArray().size(); ++i) {
-            const auto& m = log->asArray()[i];
-            const auto* from = m.isObject() ? m.find("from") : nullptr;
-            const auto* to = m.isObject() ? m.find("to") : nullptr;
-            const auto* stream =
-                m.isObject() ? m.find("stream") : nullptr;
-            if (!from || !to || !stream || !from->isNumber() ||
-                !to->isNumber() || !stream->isNumber() ||
-                from->asNumber() == to->asNumber() ||
-                from->asNumber() < 0 || from->asNumber() >= shards ||
-                to->asNumber() < 0 || to->asNumber() >= shards ||
-                stream->asNumber() < 0 ||
-                stream->asNumber() >= streams) {
-                std::fprintf(stderr,
-                             "adfleet --check: migration_log[%zu] "
-                             "is not a valid move\n",
-                             i);
-                ++failures;
-            }
-        }
-    }
-    if (failures)
-        return 1;
-    std::fprintf(stderr, "adfleet --check: %s OK\n", path.c_str());
-    return 0;
 }
 
 } // namespace
@@ -284,43 +67,18 @@ main(int argc, char** argv)
     const Config cfg = Config::fromArgs(argc, argv);
     cfg.warnUnknownKeys(knownKeys());
 
-    const std::string checkPath = cfg.getString("check");
-    if (!checkPath.empty())
-        return checkReport(checkPath);
-
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
 
     const fleet::LoadGenParams lp = fleet::LoadGenParams::fromConfig(cfg);
     const fleet::ScenarioLoadGen load(lp);
 
     fleet::FleetParams fp = fleet::FleetParams::fromConfig(cfg);
-    serve::ServeParams& sp = fp.serve;
+    fp.serve = serve::ServeParams::fromConfig(cfg);
     // The serve template's camera period is the loadgen's: frame
     // deadlines and admission math must agree with the tape.
-    sp.stream.framePeriodMs = lp.periodMs;
-    sp.stream.deadlineMs = cfg.getDouble("deadline-ms", 100.0);
-    sp.stream.queueDepth = cfg.getInt("queue-depth", 1);
-    sp.batch.maxBatch = cfg.getInt("batch-max", 8);
-    sp.batch.maxWaitMs = cfg.getDouble("window-ms", 6.0);
-    sp.admission.enabled = cfg.getBool("admission", true);
-    sp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 29));
-    sp.governor =
-        pipeline::GovernorParams::fromConfig(cfg, sp.stream.deadlineMs);
-    sp.governor.enabled = true;
-    sp.governor.budgetMs = sp.stream.deadlineMs;
-    sp.slo.windowFrames = cfg.getInt("slo.window", sp.slo.windowFrames);
-    sp.slo.targetMissRate =
-        cfg.getDouble("slo.target-miss-rate", sp.slo.targetMissRate);
-
-    fp.engine.fixedMs = cfg.getDouble("engine.fixed-ms",
-                                      fp.engine.fixedMs);
-    fp.engine.marginalMs =
-        cfg.getDouble("engine.marginal-ms", fp.engine.marginalMs);
-    fp.engine.jitterSigma =
-        cfg.getDouble("engine.jitter", fp.engine.jitterSigma);
-    fp.engine.spikeP = cfg.getDouble("engine.spike-p",
-                                     fp.engine.spikeP);
-    fp.engine.seed = sp.seed * 2654435761u + 1;
+    fp.serve.stream.framePeriodMs = lp.periodMs;
+    fp.engine = serve::ModeledEngineParams::fromConfig(cfg);
+    fp.engine.seed = fp.serve.seed * 2654435761u + 1;
 
     fleet::ShardedServer server(fp, load);
     const fleet::FleetReport report = server.run();
@@ -329,19 +87,17 @@ main(int argc, char** argv)
         std::fprintf(stderr, "%s", report.toString().c_str());
 
     const std::string jsonPath = cfg.getString("fleet-json");
-    if (!jsonPath.empty())
-        writeReport(jsonPath, report);
-
-    if (!obsOpt.metricsJsonPath.empty()) {
-        obs::MetricsSnapshotter snapshotter(
-            obs::metrics(), obs::SnapshotOptions{
-                                obsOpt.metricsJsonPath,
-                                obsOpt.metricsJsonIntervalMs});
-        if (snapshotter.writeNow(report.durationMs))
-            std::fprintf(stderr, "metrics-json: wrote snapshot to %s\n",
-                         snapshotter.path().c_str());
+    if (!jsonPath.empty()) {
+        std::ofstream out(jsonPath);
+        if (!(out << obs::json::dump(report.toJson())))
+            fatal("cannot write '", jsonPath, "'");
+        std::fprintf(stderr, "fleet report: %s\n", jsonPath.c_str());
     }
 
-    obs::finish(obsOpt);
-    return 0;
+    obs::finish(obsOpt, report.durationMs);
+    const std::vector<std::string> violations = report.violations();
+    for (const std::string& v : violations)
+        std::fprintf(stderr, "adfleet: report violation: %s\n",
+                     v.c_str());
+    return violations.empty() ? 0 : 1;
 }

@@ -16,14 +16,14 @@
  *              [--mapserve.server.cache-tiles=64]
  *              [--mapserve.drift-per-min=0.2] [...]
  *              [--map-json=out.json] [--summary] [--metrics]
- *   admapserve --check=out.json
+ *              [--trace <file>] [--metrics-json=live.json]
  *
- * --map-json writes a machine-readable report; --check parses one
- * back and validates structure plus the conservation invariants
- * (frames = warm + stalled + coasted; every submitted request is
- * served, shed or evicted; cache hits + misses = served; merged
- * updates never exceed pushed ones) and exits nonzero on any
- * violation. The admapserve smoke fixture runs exactly that pair.
+ * --map-json writes the run report as JSON (MapServeReport::toJson).
+ * Every run checks the report's invariants
+ * (MapServeReport::violations: frames = warm + stalled + coasted;
+ * every submitted request is served, shed or evicted; cache hits +
+ * misses = served; merged updates never exceed pushed ones; ...) and
+ * exits 1, printing each violation, when one is broken.
  */
 
 #include <cstdio>
@@ -44,183 +44,15 @@ using namespace ad;
 std::vector<std::string>
 knownKeys()
 {
-    std::vector<std::string> keys = {"map-json", "summary", "check"};
-    for (const auto& k : mapserve::MapServeSimParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : mapserve::TileServerParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : mapserve::MapClientParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : fleet::LoadGenParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : obs::knownConfigKeys())
-        keys.push_back(k);
+    std::vector<std::string> keys = {"map-json", "summary"};
+    for (auto* registry : {&mapserve::MapServeSimParams::knownConfigKeys,
+                           &mapserve::TileServerParams::knownConfigKeys,
+                           &mapserve::MapClientParams::knownConfigKeys,
+                           &fleet::LoadGenParams::knownConfigKeys,
+                           &obs::knownConfigKeys})
+        for (auto& k : registry())
+            keys.push_back(std::move(k));
     return keys;
-}
-
-/** FNV-1a over the version-stamp log (determinism fingerprint). */
-std::uint64_t
-logFnv(const std::string& s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-void
-writeReport(const std::string& path, const mapserve::MapServeReport& r)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write '", path, "'");
-    out << "{\n"
-        << "  \"vehicles\": " << r.vehicles << ",\n"
-        << "  \"frames\": " << r.frames << ",\n"
-        << "  \"warm\": " << r.framesWarm << ",\n"
-        << "  \"stalled\": " << r.framesStalled << ",\n"
-        << "  \"coasted\": " << r.framesCoasted << ",\n"
-        << "  \"steady_stalls\": " << r.steadyStalls << ",\n"
-        << "  \"cold_starts\": " << r.coldStarts << ",\n"
-        << "  \"prefetch_issued\": " << r.prefetchIssued << ",\n"
-        << "  \"prefetch_shed\": " << r.prefetchShed << ",\n"
-        << "  \"prefetch_late\": " << r.prefetchLate << ",\n"
-        << "  \"stale_reads\": " << r.staleReads << ",\n"
-        << "  \"stale_refreshes\": " << r.staleRefreshes << ",\n"
-        << "  \"updates_pushed\": " << r.updatesPushed << ",\n"
-        << "  \"updates_merged\": " << r.server.updatesMerged << ",\n"
-        << "  \"merge_epochs\": " << r.server.mergeEpochs << ",\n"
-        << "  \"tiles_merged\": " << r.server.tilesMerged << ",\n"
-        << "  \"submitted\": " << r.server.submitted << ",\n"
-        << "  \"served\": " << r.server.served << ",\n"
-        << "  \"admission_shed\": " << r.server.admissionShed << ",\n"
-        << "  \"queue_evictions\": " << r.server.queueEvictions
-        << ",\n"
-        << "  \"batches\": " << r.server.batches << ",\n"
-        << "  \"cache_hits\": " << r.server.cacheHits << ",\n"
-        << "  \"cache_misses\": " << r.server.cacheMisses << ",\n"
-        << "  \"bytes_served\": " << r.server.bytesServed << ",\n"
-        << "  \"raw_bytes\": " << r.server.rawBytes << ",\n"
-        << "  \"compression_ratio\": " << r.compressionRatio << ",\n"
-        << "  \"hit_rate\": " << r.prefetchHitRate << ",\n"
-        << "  \"fetch_p50_ms\": " << r.fetchLatency.p50 << ",\n"
-        << "  \"fetch_p99_ms\": " << r.fetchLatency.p99 << ",\n"
-        << "  \"demand_p99_ms\": " << r.demandLatency.p99 << ",\n"
-        << "  \"stall_p99_ms\": " << r.stallMs.p99 << ",\n"
-        << "  \"peak_err_bits\": " << r.peakErrBits << ",\n"
-        << "  \"final_err_bits\": " << r.finalErrBits << ",\n"
-        << "  \"duration_ms\": " << r.durationMs << ",\n"
-        << "  \"version_log_fnv\": " << logFnv(r.versionLog) << "\n"
-        << "}\n";
-    std::fprintf(stderr, "map report: %s\n", path.c_str());
-}
-
-/** Validate a --map-json report; returns the process exit code. */
-int
-checkReport(const std::string& path)
-{
-    std::string err;
-    const auto doc = obs::json::parseFile(path, &err);
-    if (!doc) {
-        std::fprintf(stderr, "admapserve --check: %s: %s\n",
-                     path.c_str(), err.c_str());
-        return 1;
-    }
-    if (!doc->isObject()) {
-        std::fprintf(stderr, "admapserve --check: %s: not an object\n",
-                     path.c_str());
-        return 1;
-    }
-    int failures = 0;
-    auto number = [&](const char* key) -> double {
-        const auto* v = doc->find(key);
-        if (!v || !v->isNumber()) {
-            std::fprintf(
-                stderr,
-                "admapserve --check: missing numeric \"%s\"\n", key);
-            ++failures;
-            return 0.0;
-        }
-        return v->asNumber();
-    };
-    const double vehicles = number("vehicles");
-    const double frames = number("frames");
-    const double warm = number("warm");
-    const double stalled = number("stalled");
-    const double coasted = number("coasted");
-    const double steady = number("steady_stalls");
-    const double cold = number("cold_starts");
-    const double submitted = number("submitted");
-    const double served = number("served");
-    const double admissionShed = number("admission_shed");
-    const double evicted = number("queue_evictions");
-    const double cacheHits = number("cache_hits");
-    const double cacheMisses = number("cache_misses");
-    const double bytes = number("bytes_served");
-    const double raw = number("raw_bytes");
-    const double pushed = number("updates_pushed");
-    const double merged = number("updates_merged");
-    number("batches");
-    number("fetch_p99_ms");
-    number("hit_rate");
-    number("version_log_fnv");
-    if (failures)
-        return 1;
-    if (vehicles < 1 || frames < 1) {
-        std::fprintf(stderr,
-                     "admapserve --check: implausible vehicle/frame "
-                     "counts\n");
-        ++failures;
-    }
-    if (warm + stalled + coasted != frames) {
-        std::fprintf(stderr,
-                     "admapserve --check: frame conservation "
-                     "violated: warm %.0f + stalled %.0f + coasted "
-                     "%.0f != frames %.0f\n",
-                     warm, stalled, coasted, frames);
-        ++failures;
-    }
-    if (steady + cold != stalled) {
-        std::fprintf(stderr,
-                     "admapserve --check: stall split violated: "
-                     "steady %.0f + cold %.0f != stalled %.0f\n",
-                     steady, cold, stalled);
-        ++failures;
-    }
-    if (served + admissionShed + evicted != submitted) {
-        std::fprintf(stderr,
-                     "admapserve --check: request conservation "
-                     "violated: served %.0f + shed %.0f + evicted "
-                     "%.0f != submitted %.0f\n",
-                     served, admissionShed, evicted, submitted);
-        ++failures;
-    }
-    if (cacheHits + cacheMisses != served) {
-        std::fprintf(stderr,
-                     "admapserve --check: cache accounting violated: "
-                     "%.0f + %.0f != served %.0f\n",
-                     cacheHits, cacheMisses, served);
-        ++failures;
-    }
-    if (served > 0 && (bytes <= 0 || raw < bytes)) {
-        std::fprintf(stderr,
-                     "admapserve --check: compression accounting "
-                     "violated: bytes %.0f raw %.0f\n",
-                     bytes, raw);
-        ++failures;
-    }
-    if (merged > pushed) {
-        std::fprintf(stderr,
-                     "admapserve --check: merged %.0f > pushed %.0f\n",
-                     merged, pushed);
-        ++failures;
-    }
-    if (failures)
-        return 1;
-    std::fprintf(stderr, "admapserve --check: %s OK\n", path.c_str());
-    return 0;
 }
 
 } // namespace
@@ -231,10 +63,6 @@ main(int argc, char** argv)
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
     cfg.warnUnknownKeys(knownKeys());
-
-    const std::string checkPath = cfg.getString("check");
-    if (!checkPath.empty())
-        return checkReport(checkPath);
 
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
 
@@ -252,17 +80,17 @@ main(int argc, char** argv)
         std::fprintf(stderr, "%s", report.toString().c_str());
 
     const std::string jsonPath = cfg.getString("map-json");
-    if (!jsonPath.empty())
-        writeReport(jsonPath, report);
-
-    if (!obsOpt.metricsJsonPath.empty()) {
-        obs::MetricsSnapshotter snapshotter(
-            obs::metrics(), obs::SnapshotOptions{
-                                obsOpt.metricsJsonPath,
-                                obsOpt.metricsJsonIntervalMs});
-        if (snapshotter.writeNow(report.durationMs))
-            std::fprintf(stderr, "metrics: %s\n",
-                         obsOpt.metricsJsonPath.c_str());
+    if (!jsonPath.empty()) {
+        std::ofstream out(jsonPath);
+        if (!(out << obs::json::dump(report.toJson())))
+            fatal("cannot write '", jsonPath, "'");
+        std::fprintf(stderr, "map report: %s\n", jsonPath.c_str());
     }
-    return 0;
+
+    obs::finish(obsOpt, report.durationMs);
+    const std::vector<std::string> violations = report.violations();
+    for (const std::string& v : violations)
+        std::fprintf(stderr, "admapserve: report violation: %s\n",
+                     v.c_str());
+    return violations.empty() ? 0 : 1;
 }

@@ -19,7 +19,6 @@
  *           [--metrics] [--trace <file>] [--metrics-json=live.json]
  *           [--flight-dump[=file]] [--slo.window=2048]
  *           [--slo.target-miss-rate=1e-4]
- *   adserve --check=out.json
  *
  * Every run keeps per-stream SLO accounts (rolling-window
  * p50/p99/p99.9, miss-budget burn rate, goodput ratio) that land in
@@ -37,11 +36,10 @@
  * calibration pass -- the serving-layer configuration the
  * bench_ext_quant_accuracy goodput comparison runs.
  *
- * --serve-json writes a machine-readable run report; --check parses
- * one back (obs/json.hh), validates its structure and the frame
- * conservation invariant, and exits nonzero on any violation. The
- * adserve smoke fixture in tools/CMakeLists.txt runs exactly that
- * pair.
+ * --serve-json writes the run report as JSON (ServeReport::toJson).
+ * Every run checks the report's invariants (ServeReport::violations:
+ * frame conservation, one SLO entry per stream, ...) and exits 1,
+ * printing each violation, when one is broken.
  */
 
 #include <cstdio>
@@ -68,179 +66,15 @@ std::vector<std::string>
 knownKeys()
 {
     std::vector<std::string> keys = {
-        "streams",     "frames",       "period-ms", "deadline-ms",
-        "queue-depth", "batch-max",    "window-ms", "admission",
-        "stagger",     "seed",         "measured",  "det-input",
-        "det-width",   "nn.threads",   "nn.precision", "nn.fuse",
-        "serve-json",  "summary",
-        "check",       "engine.fixed-ms", "engine.marginal-ms",
-        "engine.jitter", "engine.spike-p",
-        "slo.window",  "slo.target-miss-rate"};
-    for (const auto& k : obs::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : pipeline::GovernorParams::knownConfigKeys())
-        keys.push_back(k);
+        "streams",    "frames",       "period-ms", "stagger",
+        "measured",   "det-input",    "det-width", "nn.threads",
+        "nn.precision", "nn.fuse",    "serve-json", "summary"};
+    for (auto* registry : {&serve::ServeParams::knownConfigKeys,
+                           &serve::ModeledEngineParams::knownConfigKeys,
+                           &obs::knownConfigKeys})
+        for (auto& k : registry())
+            keys.push_back(std::move(k));
     return keys;
-}
-
-void
-writeReport(const std::string& path, const serve::ServeParams& sp,
-            std::int64_t framesPerStream, const char* engine,
-            const serve::ServeReport& r)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write '", path, "'");
-    const auto& q = r.admittedLatency;
-    out << "{\n"
-        << "  \"streams\": " << sp.streams << ",\n"
-        << "  \"frames_per_stream\": " << framesPerStream << ",\n"
-        << "  \"engine\": \"" << engine << "\",\n"
-        << "  \"batch_max\": " << sp.batch.maxBatch << ",\n"
-        << "  \"window_ms\": " << sp.batch.maxWaitMs << ",\n"
-        << "  \"admission\": " << (sp.admission.enabled ? 1 : 0)
-        << ",\n"
-        << "  \"arrived\": " << r.framesArrived << ",\n"
-        << "  \"admitted\": " << r.framesAdmitted << ",\n"
-        << "  \"degraded\": " << r.framesDegraded << ",\n"
-        << "  \"coasted\": " << r.framesCoasted << ",\n"
-        << "  \"shed\": " << r.framesShed << ",\n"
-        << "  \"deadline_misses\": " << r.deadlineMisses << ",\n"
-        << "  \"p50_ms\": " << q.p50 << ",\n"
-        << "  \"p99_ms\": " << q.p99 << ",\n"
-        << "  \"p9999_ms\": " << q.p9999 << ",\n"
-        << "  \"worst_ms\": " << q.worst << ",\n"
-        << "  \"goodput_fps\": " << r.goodputFps << ",\n"
-        << "  \"total_goodput_fps\": " << r.totalGoodputFps << ",\n"
-        << "  \"shed_rate\": " << r.shedRate << ",\n"
-        << "  \"batches\": " << r.batches << ",\n"
-        << "  \"mean_batch_size\": " << r.meanBatchSize << ",\n"
-        << "  \"mean_batch_wait_ms\": " << r.meanBatchWaitMs << ",\n"
-        << "  \"pressure_escalations\": " << r.pressureEscalations
-        << ",\n"
-        << "  \"duration_ms\": " << r.durationMs << ",\n"
-        << "  \"slo\": [";
-    for (std::size_t i = 0; i < r.streamSlo.size(); ++i) {
-        const auto& s = r.streamSlo[i];
-        out << (i ? "," : "") << "\n    {\"stream\": " << i
-            << ", \"window\": " << s.window
-            << ", \"p50_ms\": " << s.p50Ms
-            << ", \"p99_ms\": " << s.p99Ms
-            << ", \"p999_ms\": " << s.p999Ms
-            << ", \"miss_rate\": " << s.missRate
-            << ", \"burn_rate\": " << s.burnRate
-            << ", \"goodput_ratio\": " << s.goodputRatio
-            << ", \"misses\": " << s.misses
-            << ", \"total\": " << s.total << "}";
-    }
-    out << "\n  ]\n"
-        << "}\n";
-    std::fprintf(stderr, "serve report: %s\n", path.c_str());
-}
-
-/** Validate a --serve-json report; returns the process exit code. */
-int
-checkReport(const std::string& path)
-{
-    std::string err;
-    const auto doc = obs::json::parseFile(path, &err);
-    if (!doc) {
-        std::fprintf(stderr, "adserve --check: %s: %s\n", path.c_str(),
-                     err.c_str());
-        return 1;
-    }
-    if (!doc->isObject()) {
-        std::fprintf(stderr, "adserve --check: %s: not an object\n",
-                     path.c_str());
-        return 1;
-    }
-    int failures = 0;
-    auto number = [&](const char* key) -> double {
-        const auto* v = doc->find(key);
-        if (!v || !v->isNumber()) {
-            std::fprintf(stderr,
-                         "adserve --check: missing numeric \"%s\"\n",
-                         key);
-            ++failures;
-            return 0.0;
-        }
-        return v->asNumber();
-    };
-    const double streams = number("streams");
-    const double frames = number("frames_per_stream");
-    const double arrived = number("arrived");
-    const double admitted = number("admitted");
-    const double coasted = number("coasted");
-    const double shed = number("shed");
-    number("p9999_ms");
-    number("goodput_fps");
-    number("shed_rate");
-    if (failures)
-        return 1;
-    if (arrived != streams * frames) {
-        std::fprintf(stderr,
-                     "adserve --check: arrived %.0f != streams x "
-                     "frames %.0f\n",
-                     arrived, streams * frames);
-        ++failures;
-    }
-    if (admitted + coasted + shed != arrived) {
-        std::fprintf(stderr,
-                     "adserve --check: conservation violated: "
-                     "admitted %.0f + coasted %.0f + shed %.0f != "
-                     "arrived %.0f\n",
-                     admitted, coasted, shed, arrived);
-        ++failures;
-    }
-    const auto* slo = doc->find("slo");
-    if (!slo || !slo->isArray()) {
-        std::fprintf(stderr,
-                     "adserve --check: missing \"slo\" array\n");
-        ++failures;
-    } else {
-        if (static_cast<double>(slo->asArray().size()) != streams) {
-            std::fprintf(stderr,
-                         "adserve --check: slo has %zu entries, "
-                         "expected %.0f\n",
-                         slo->asArray().size(), streams);
-            ++failures;
-        }
-        static const char* kSloFields[] = {
-            "stream",    "window",       "p50_ms", "p99_ms",
-            "p999_ms",   "miss_rate",    "burn_rate",
-            "goodput_ratio", "misses",   "total"};
-        for (std::size_t i = 0; i < slo->asArray().size(); ++i) {
-            const auto& entry = slo->asArray()[i];
-            for (const char* field : kSloFields) {
-                const auto* v =
-                    entry.isObject() ? entry.find(field) : nullptr;
-                if (!v || !v->isNumber()) {
-                    std::fprintf(stderr,
-                                 "adserve --check: slo[%zu] lacks "
-                                 "numeric \"%s\"\n",
-                                 i, field);
-                    ++failures;
-                }
-            }
-            if (!entry.isObject())
-                continue;
-            const auto* misses = entry.find("misses");
-            const auto* total = entry.find("total");
-            if (misses && total && misses->isNumber() &&
-                total->isNumber() &&
-                misses->asNumber() > total->asNumber()) {
-                std::fprintf(stderr,
-                             "adserve --check: slo[%zu] misses "
-                             "exceed total\n",
-                             i);
-                ++failures;
-            }
-        }
-    }
-    if (failures)
-        return 1;
-    std::fprintf(stderr, "adserve --check: %s OK\n", path.c_str());
-    return 0;
 }
 
 } // namespace
@@ -252,37 +86,17 @@ main(int argc, char** argv)
     const Config cfg = Config::fromArgs(argc, argv);
     cfg.warnUnknownKeys(knownKeys());
 
-    const std::string checkPath = cfg.getString("check");
-    if (!checkPath.empty())
-        return checkReport(checkPath);
-
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
     const std::int64_t frames = cfg.getInt("frames", 200);
 
-    serve::ServeParams sp;
-    sp.streams = cfg.getInt("streams", 8);
-    sp.stream.framePeriodMs = cfg.getDouble("period-ms", 100.0);
-    sp.stream.deadlineMs = cfg.getDouble("deadline-ms", 100.0);
-    sp.stream.queueDepth = cfg.getInt("queue-depth", 1);
-    sp.batch.maxBatch = cfg.getInt("batch-max", 8);
-    sp.batch.maxWaitMs = cfg.getDouble("window-ms", 6.0);
-    sp.admission.enabled = cfg.getBool("admission", true);
-    sp.stagger = cfg.getBool("stagger", true);
-    sp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 29));
-    sp.governor =
-        pipeline::GovernorParams::fromConfig(cfg, sp.stream.deadlineMs);
-    // The per-stream governors are the admission controller's
-    // degradation actuators; they are always on in the server.
-    sp.governor.enabled = true;
-    sp.governor.budgetMs = sp.stream.deadlineMs;
-    sp.slo.windowFrames = cfg.getInt("slo.window", sp.slo.windowFrames);
-    sp.slo.targetMissRate =
-        cfg.getDouble("slo.target-miss-rate", sp.slo.targetMissRate);
+    serve::ServeParams sp = serve::ServeParams::fromConfig(cfg);
+    sp.streams = cfg.getInt("streams", sp.streams);
+    sp.stream.framePeriodMs =
+        cfg.getDouble("period-ms", sp.stream.framePeriodMs);
+    sp.stagger = cfg.getBool("stagger", sp.stagger);
 
     serve::ServeReport report;
-    const char* engineName = "modeled";
     if (cfg.getBool("measured", false)) {
-        engineName = "measured";
         const int inputSize = cfg.getInt("det-input", 64);
         const double width = cfg.getDouble("det-width", 0.05);
         nn::Network net = nn::buildNetwork(
@@ -291,7 +105,6 @@ main(int argc, char** argv)
         nn::initDetectorWeights(net, weightRng);
         if (nn::parsePrecision(cfg.getString("nn.precision", "fp32")) ==
             nn::Precision::Int8) {
-            engineName = "measured-int8";
             // Seeded calibration at the same input distribution the
             // engine will serve (uniform [0, 1] frames).
             std::vector<nn::Tensor> samples;
@@ -329,12 +142,8 @@ main(int argc, char** argv)
         std::fprintf(stderr, "output checksum: %a\n",
                      engine.outputChecksum());
     } else {
-        serve::ModeledEngineParams ep;
-        ep.fixedMs = cfg.getDouble("engine.fixed-ms", ep.fixedMs);
-        ep.marginalMs =
-            cfg.getDouble("engine.marginal-ms", ep.marginalMs);
-        ep.jitterSigma = cfg.getDouble("engine.jitter", ep.jitterSigma);
-        ep.spikeP = cfg.getDouble("engine.spike-p", ep.spikeP);
+        serve::ModeledEngineParams ep =
+            serve::ModeledEngineParams::fromConfig(cfg);
         ep.seed = sp.seed * 2654435761u + 1;
         serve::ModeledBatchEngine engine(ep);
         serve::MultiStreamServer server(sp, engine);
@@ -345,22 +154,17 @@ main(int argc, char** argv)
         std::fprintf(stderr, "%s", report.toString().c_str());
 
     const std::string jsonPath = cfg.getString("serve-json");
-    if (!jsonPath.empty())
-        writeReport(jsonPath, sp, frames, engineName, report);
-
-    // The serving run is virtual-clocked, so periodic snapshots make
-    // no sense; publish one end-of-run snapshot stamped with the
-    // virtual duration instead.
-    if (!obsOpt.metricsJsonPath.empty()) {
-        obs::MetricsSnapshotter snapshotter(
-            obs::metrics(), obs::SnapshotOptions{
-                                obsOpt.metricsJsonPath,
-                                obsOpt.metricsJsonIntervalMs});
-        if (snapshotter.writeNow(report.durationMs))
-            std::fprintf(stderr, "metrics-json: wrote snapshot to %s\n",
-                         snapshotter.path().c_str());
+    if (!jsonPath.empty()) {
+        std::ofstream out(jsonPath);
+        if (!(out << obs::json::dump(report.toJson())))
+            fatal("cannot write '", jsonPath, "'");
+        std::fprintf(stderr, "serve report: %s\n", jsonPath.c_str());
     }
 
-    obs::finish(obsOpt);
-    return 0;
+    obs::finish(obsOpt, report.durationMs);
+    const std::vector<std::string> violations = report.violations();
+    for (const std::string& v : violations)
+        std::fprintf(stderr, "adserve: report violation: %s\n",
+                     v.c_str());
+    return violations.empty() ? 0 : 1;
 }
