@@ -2,9 +2,10 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot kernels underneath
  * the pipeline engines: GEMM and convolution (the DNN engine), oFAST
- * detection and rBRIEF description (feature extraction), descriptor
- * matching, NMS, and the two motion planners. These quantify where
- * measured-mode cycles go and guard against performance regressions.
+ * detection, pyramid resize, box smoothing and rBRIEF description
+ * (feature extraction), Hamming distance and descriptor matching, NMS,
+ * and the two motion planners. These quantify where measured-mode
+ * cycles go and guard against performance regressions.
  *
  * On top of the google-benchmark suite, main() runs a fixed GEMM
  * scaling sweep (seed blocked kernel vs packed kernel at 1/2/4/8
@@ -339,6 +340,70 @@ BM_OrbExtract(benchmark::State& state)
     }
 }
 BENCHMARK(BM_OrbExtract);
+
+/** A width x height image of uniform random bytes. */
+Image
+randomImage(Rng& rng, int width, int height)
+{
+    Image img(width, height);
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            img.at(x, y) = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    return img;
+}
+
+void
+BM_ImageResize(benchmark::State& state)
+{
+    // One ORB pyramid step (1 / 1.2) from an HHD frame.
+    Rng rng(6);
+    const Image img = randomImage(rng, 640, 360);
+    const int w = static_cast<int>(state.range(0));
+    const int h = w * 9 / 16;
+    for (auto _ : state) {
+        Image out = img.resized(w, h);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * w * h);
+}
+BENCHMARK(BM_ImageResize)->Arg(533)->Arg(160);
+
+void
+BM_BoxFilter(benchmark::State& state)
+{
+    // ORB's pre-descriptor smoothing (radius 2) of an HHD frame.
+    Rng rng(7);
+    const Image img = randomImage(rng, 640, 360);
+    const int radius = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        Image out = img.boxFiltered(radius);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * img.size());
+}
+BENCHMARK(BM_BoxFilter)->Arg(2)->Arg(4);
+
+void
+BM_Hamming(benchmark::State& state)
+{
+    // All pairs of n random descriptors.
+    Rng rng(8);
+    std::vector<vision::Descriptor> descs(
+        static_cast<std::size_t>(state.range(0)));
+    for (auto& d : descs)
+        for (auto& word : d.words)
+            word = rng();
+    for (auto _ : state) {
+        int total = 0;
+        for (const auto& a : descs)
+            for (const auto& b : descs)
+                total += a.hamming(b);
+        benchmark::DoNotOptimize(total);
+    }
+    state.SetItemsProcessed(state.iterations() * descs.size() *
+                            descs.size());
+}
+BENCHMARK(BM_Hamming)->Arg(64);
 
 void
 BM_DescriptorMatch(benchmark::State& state)

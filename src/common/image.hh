@@ -2,8 +2,7 @@
  * @file
  * Grayscale image container and the pixel-level operations shared by the
  * synthetic camera, the ORB feature-extraction substrate, and the
- * DNN front ends: bilinear resize, cropping, box filtering, integral
- * images and normalization to float tensor input.
+ * DNN front ends: bilinear resize, cropping and box filtering.
  */
 
 #ifndef AD_COMMON_IMAGE_HH
@@ -51,10 +50,19 @@ class Image
     /** Fill an axis-aligned rectangle, clipped to the image. */
     void fillRect(const BBox& rect, std::uint8_t value);
 
-    /** Bilinear sample at a real-valued position (clamped). */
+    /**
+     * Bilinear sample at a real-valued position (clamped). The
+     * per-pixel reference: resized() computes the same bits, and the
+     * tests compare the two.
+     */
     double sampleBilinear(double x, double y) const;
 
-    /** Bilinear resize to the given dimensions. */
+    /**
+     * Bilinear resize to the given dimensions: each output pixel is
+     * sampleBilinear() at its center, clamped to [0, 255] and
+     * truncated. The taps of each column and each row are computed
+     * once.
+     */
     Image resized(int newWidth, int newHeight) const;
 
     /**
@@ -64,7 +72,11 @@ class Image
      */
     Image cropResized(const BBox& rect, int outW, int outH) const;
 
-    /** Box-filter smoothing with the given radius. */
+    /**
+     * Box-filter smoothing with the given radius: each pixel becomes
+     * the truncated mean of the window, clipped to the image, around
+     * it. Computed with running column and row sums.
+     */
     Image boxFiltered(int radius) const;
 
     /** Mean pixel intensity. */
@@ -79,27 +91,6 @@ class Image
     int width_ = 0;
     int height_ = 0;
     std::vector<std::uint8_t> data_;
-};
-
-/**
- * Summed-area table over an Image, supporting O(1) rectangle sums. Used
- * by the oFAST orientation computation and the box filter.
- */
-class IntegralImage
-{
-  public:
-    explicit IntegralImage(const Image& img);
-
-    /** Sum of pixels in [x0, x1) x [y0, y1), clamped to the image. */
-    std::uint64_t rectSum(int x0, int y0, int x1, int y1) const;
-
-    int width() const { return width_; }
-    int height() const { return height_; }
-
-  private:
-    int width_ = 0;
-    int height_ = 0;
-    std::vector<std::uint64_t> sums_; ///< (width+1) x (height+1).
 };
 
 } // namespace ad

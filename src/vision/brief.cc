@@ -1,22 +1,13 @@
 #include "vision/brief.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <utility>
 
 #include "common/random.hh"
 
 namespace ad::vision {
-
-int
-Descriptor::hamming(const Descriptor& other) const
-{
-    int dist = 0;
-    for (int i = 0; i < 4; ++i)
-        dist += std::popcount(words[i] ^ other.words[i]);
-    return dist;
-}
 
 const BriefPattern&
 BriefPattern::instance()
@@ -75,6 +66,24 @@ describeKeypoint(const Image& smoothed, const Keypoint& kp)
     Descriptor desc;
     const int cx = static_cast<int>(kp.x);
     const int cy = static_cast<int>(kp.y);
+    // Pattern coordinates are clamped to [-15, 15].
+    constexpr int reach = 15;
+    if (cx >= reach && cy >= reach && cx + reach < smoothed.width() &&
+        cy + reach < smoothed.height()) {
+        const std::ptrdiff_t stride = smoothed.width();
+        const std::uint8_t* c = smoothed.row(cy) + cx;
+        for (int w = 0; w < 4; ++w) {
+            std::uint64_t bits = 0;
+            for (int j = 0; j < 64; ++j) {
+                const auto& t = tests[w * 64 + j];
+                const int a = c[t.ay * stride + t.ax];
+                const int b = c[t.by * stride + t.bx];
+                bits |= static_cast<std::uint64_t>(a < b) << j;
+            }
+            desc.words[w] = bits;
+        }
+        return desc;
+    }
     for (int i = 0; i < 256; ++i) {
         const auto& t = tests[i];
         const int a = smoothed.atClamped(cx + t.ax, cy + t.ay);

@@ -12,8 +12,13 @@
 #define AD_VISION_BRIEF_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/image.hh"
 #include "vision/fast.hh"
@@ -25,8 +30,43 @@ struct Descriptor
 {
     std::array<std::uint64_t, 4> words = {0, 0, 0, 0};
 
-    /** Hamming distance (0..256) via popcount. */
-    int hamming(const Descriptor& other) const;
+    /**
+     * Hamming distance (0..256). Inline, and with SSE2 a byte-wise
+     * popcount of the 256-bit XOR summed by psadbw, so the build needs
+     * no popcnt instruction and makes no library call.
+     */
+    int
+    hamming(const Descriptor& other) const
+    {
+#if defined(__SSE2__)
+        const auto load = [](const std::uint64_t* p) {
+            return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+        };
+        const auto bitsPerByte = [](__m128i v) {
+            const __m128i m1 = _mm_set1_epi8(0x55);
+            const __m128i m2 = _mm_set1_epi8(0x33);
+            const __m128i m4 = _mm_set1_epi8(0x0f);
+            v = _mm_sub_epi8(v, _mm_and_si128(_mm_srli_epi16(v, 1), m1));
+            v = _mm_add_epi8(_mm_and_si128(v, m2),
+                             _mm_and_si128(_mm_srli_epi16(v, 2), m2));
+            return _mm_and_si128(_mm_add_epi8(v, _mm_srli_epi16(v, 4)), m4);
+        };
+        const __m128i lo = _mm_xor_si128(load(&words[0]),
+                                         load(&other.words[0]));
+        const __m128i hi = _mm_xor_si128(load(&words[2]),
+                                         load(&other.words[2]));
+        const __m128i sums = _mm_sad_epu8(
+            _mm_add_epi8(bitsPerByte(lo), bitsPerByte(hi)),
+            _mm_setzero_si128());
+        return _mm_cvtsi128_si32(sums) +
+               _mm_cvtsi128_si32(_mm_srli_si128(sums, 8));
+#else
+        int dist = 0;
+        for (int i = 0; i < 4; ++i)
+            dist += std::popcount(words[i] ^ other.words[i]);
+        return dist;
+#endif
+    }
 
     bool operator==(const Descriptor&) const = default;
 };
@@ -72,8 +112,9 @@ class BriefPattern
 
 /**
  * Compute the rBRIEF descriptor of one keypoint on a (pre-smoothed)
- * image. Keypoints closer than 16 pixels to the border are sampled with
- * clamped reads.
+ * image. Keypoints closer than 15 pixels to the border, whose pattern
+ * reaches past it, are sampled with clamped reads; the others are read
+ * straight from the rows.
  *
  * @param smoothed box-filtered image (radius 2, as in ORB).
  * @param kp keypoint with orientation bin already assigned.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/trace.hh"
+
 namespace ad::vision {
 
 OrbExtractor::OrbExtractor(const OrbParams& params) : params_(params)
@@ -14,7 +16,9 @@ OrbExtractor::extract(const Image& img, OrbProfile* profile) const
     std::vector<Feature> features;
     OrbProfile localProfile;
 
-    Image level = img;
+    // Level 0 is the input itself; coarser levels are resized from it.
+    const Image* level = &img;
+    Image resizedLevel;
     double scale = 1.0;
     for (int l = 0; l < params_.pyramidLevels; ++l) {
         if (l > 0) {
@@ -23,21 +27,33 @@ OrbExtractor::extract(const Image& img, OrbProfile* profile) const
             const int h = static_cast<int>(img.height() / scale);
             if (w < 48 || h < 48)
                 break;
-            level = img.resized(w, h);
+            obs::TraceSpan span(obs::tracer(), "loc.fe.pyramid", "loc");
+            resizedLevel = img.resized(w, h);
+            level = &resizedLevel;
         }
         localProfile.pixelsProcessed +=
-            static_cast<std::uint64_t>(level.width()) * level.height();
+            static_cast<std::uint64_t>(level->width()) * level->height();
 
         // Distribute the keypoint budget across levels (halving per
         // level, as coarser levels cover less detail).
         FastParams fp = params_.fast;
         fp.maxKeypoints = std::max(8, params_.fast.maxKeypoints >> l);
 
-        std::vector<Keypoint> kps =
-            detectFast(level, fp, &localProfile.fast);
-        const Image smoothed = level.boxFiltered(params_.smoothRadius);
-        const std::vector<Descriptor> descs =
-            describeKeypoints(smoothed, kps, &localProfile.brief);
+        std::vector<Keypoint> kps;
+        {
+            obs::TraceSpan span(obs::tracer(), "loc.fe.fast", "loc");
+            kps = detectFast(*level, fp, &localProfile.fast);
+        }
+        Image smoothed;
+        {
+            obs::TraceSpan span(obs::tracer(), "loc.fe.smooth", "loc");
+            smoothed = level->boxFiltered(params_.smoothRadius);
+        }
+        std::vector<Descriptor> descs;
+        {
+            obs::TraceSpan span(obs::tracer(), "loc.fe.brief", "loc");
+            descs = describeKeypoints(smoothed, kps, &localProfile.brief);
+        }
 
         for (std::size_t i = 0; i < kps.size(); ++i) {
             Feature f;

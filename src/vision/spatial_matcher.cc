@@ -30,6 +30,15 @@ std::vector<int>
 SpatialMatcher::featuresNear(float u, float v, double radius) const
 {
     std::vector<int> result;
+    collectNear(u, v, radius, result);
+    return result;
+}
+
+void
+SpatialMatcher::collectNear(float u, float v, double radius,
+                            std::vector<int>& result) const
+{
+    result.clear();
     const int cx0 = std::clamp(
         static_cast<int>((u - radius) / cellSize_), 0, gridW_ - 1);
     const int cx1 = std::clamp(
@@ -50,7 +59,6 @@ SpatialMatcher::featuresNear(float u, float v, double radius) const
             }
         }
     }
-    return result;
 }
 
 std::vector<SpatialMatch>
@@ -65,13 +73,14 @@ SpatialMatcher::match(const std::vector<ProjectedCandidate>& candidates,
         int distance;
     };
     std::vector<Scored> scored;
+    std::vector<int> near; // one buffer for every window
     for (std::size_t c = 0; c < candidates.size(); ++c) {
         int best = 257;
         int second = 257;
         int bestIdx = -1;
-        for (const int f : featuresNear(candidates[c].u,
-                                        candidates[c].v,
-                                        params.windowRadius)) {
+        collectNear(candidates[c].u, candidates[c].v, params.windowRadius,
+                    near);
+        for (const int f : near) {
             const int d =
                 candidates[c].desc.hamming(features_[f].desc);
             if (d < best) {

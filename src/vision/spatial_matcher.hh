@@ -76,6 +76,10 @@ class SpatialMatcher
                                   double radius) const;
 
   private:
+    /** featuresNear() into @p out, reusing its storage. */
+    void collectNear(float u, float v, double radius,
+                     std::vector<int>& out) const;
+
     const std::vector<Feature>& features_;
     int cellSize_;
     int gridW_;

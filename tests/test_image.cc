@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests for the image substrate: pixel access, rectangle fills, bilinear
- * sampling/resizing, crop-resize (the tracker's input path), box
- * filtering and integral-image rectangle sums.
+ * sampling/resizing, crop-resize (the tracker's input path) and box
+ * filtering, with the tabled resize and the running-sum box filter
+ * checked byte for byte against per-pixel references.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "common/image.hh"
 #include "common/random.hh"
@@ -14,8 +18,72 @@ namespace {
 
 using ad::BBox;
 using ad::Image;
-using ad::IntegralImage;
 using ad::Rng;
+
+/** A width x height image of uniform random bytes. */
+Image
+randomImage(Rng& rng, int width, int height)
+{
+    Image img(width, height);
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            img.at(x, y) = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    return img;
+}
+
+/** resized() as one sampleBilinear() per output pixel. */
+Image
+referenceResize(const Image& img, int width, int height)
+{
+    Image out(width, height);
+    const double sx = static_cast<double>(img.width()) / width;
+    const double sy = static_cast<double>(img.height()) / height;
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            out.at(x, y) = static_cast<std::uint8_t>(std::clamp(
+                img.sampleBilinear((x + 0.5) * sx - 0.5,
+                                   (y + 0.5) * sy - 0.5),
+                0.0, 255.0));
+    return out;
+}
+
+/** boxFiltered() as the truncated mean of each clipped window. */
+Image
+referenceBox(const Image& img, int radius)
+{
+    Image out(img.width(), img.height());
+    for (int y = 0; y < img.height(); ++y)
+        for (int x = 0; x < img.width(); ++x) {
+            std::uint64_t sum = 0;
+            std::uint64_t area = 0;
+            for (int wy = std::max(0, y - radius);
+                 wy <= std::min(img.height() - 1, y + radius); ++wy)
+                for (int wx = std::max(0, x - radius);
+                     wx <= std::min(img.width() - 1, x + radius); ++wx) {
+                    sum += img.at(wx, wy);
+                    ++area;
+                }
+            out.at(x, y) = static_cast<std::uint8_t>(sum / area);
+        }
+    return out;
+}
+
+/** Byte-for-byte comparison naming the first differing pixel. */
+::testing::AssertionResult
+sameBytes(const Image& got, const Image& want)
+{
+    if (got.width() != want.width() || got.height() != want.height())
+        return ::testing::AssertionFailure()
+               << got.width() << "x" << got.height() << " vs "
+               << want.width() << "x" << want.height();
+    for (int y = 0; y < got.height(); ++y)
+        for (int x = 0; x < got.width(); ++x)
+            if (got.at(x, y) != want.at(x, y))
+                return ::testing::AssertionFailure()
+                       << "pixel (" << x << ", " << y << "): "
+                       << int(got.at(x, y)) << " vs " << int(want.at(x, y));
+    return ::testing::AssertionSuccess();
+}
 
 TEST(Image, ConstructAndFill)
 {
@@ -108,34 +176,66 @@ TEST(Image, BoxFilterSmoothsImpulse)
     EXPECT_EQ(smooth.at(0, 0), 0);
 }
 
-TEST(IntegralImage, MatchesBruteForce)
+TEST(Image, ResizeMatchesPerPixelSample)
 {
-    Rng rng(9);
-    Image img(17, 13);
-    for (int y = 0; y < 13; ++y)
-        for (int x = 0; x < 17; ++x)
-            img.at(x, y) = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
-    IntegralImage integral(img);
-    for (int trial = 0; trial < 100; ++trial) {
-        const int x0 = rng.uniformInt(0, 16);
-        const int y0 = rng.uniformInt(0, 12);
-        const int x1 = rng.uniformInt(x0, 17);
-        const int y1 = rng.uniformInt(y0, 13);
-        std::uint64_t expect = 0;
-        for (int y = y0; y < y1; ++y)
-            for (int x = x0; x < x1; ++x)
-                expect += img.at(x, y);
-        EXPECT_EQ(integral.rectSum(x0, y0, x1, y1), expect);
+    Rng rng(11);
+    struct Case
+    {
+        int srcW, srcH, dstW, dstH;
+    };
+    const Case cases[] = {
+        {64, 36, 53, 30},  // one ORB pyramid step (1 / 1.2)
+        {97, 61, 44, 25},  // deeper downsampling
+        {17, 13, 5, 3},
+        {7, 5, 23, 19},    // upsampling
+        {3, 2, 16, 16},
+        {40, 30, 1, 1},    // 1x1 target
+        {1, 9, 4, 3},      // one-column source
+        {9, 1, 3, 4},      // one-row source
+        {1, 1, 5, 2},
+    };
+    for (const Case& c : cases) {
+        const Image img = randomImage(rng, c.srcW, c.srcH);
+        EXPECT_TRUE(sameBytes(img.resized(c.dstW, c.dstH),
+                              referenceResize(img, c.dstW, c.dstH)))
+            << c.srcW << "x" << c.srcH << " -> " << c.dstW << "x"
+            << c.dstH;
+    }
+    for (const std::uint8_t v : {0, 255}) {
+        const Image flat(33, 21, v);
+        EXPECT_TRUE(sameBytes(flat.resized(27, 17),
+                              referenceResize(flat, 27, 17)));
+        EXPECT_TRUE(sameBytes(flat.resized(50, 40),
+                              referenceResize(flat, 50, 40)));
     }
 }
 
-TEST(IntegralImage, EmptyAndClampedRects)
+TEST(Image, BoxFilterMatchesBruteForceMean)
 {
-    Image img(4, 4, 10);
-    IntegralImage integral(img);
-    EXPECT_EQ(integral.rectSum(2, 2, 2, 2), 0u);
-    EXPECT_EQ(integral.rectSum(3, 3, 1, 1), 0u);
-    EXPECT_EQ(integral.rectSum(-10, -10, 100, 100), 160u);
+    Rng rng(12);
+    const int sizes[][2] = {{40, 31}, {17, 13}, {5, 9}, {9, 5}, {3, 2},
+                            {1, 1}, {1, 12}, {12, 1}};
+    for (const auto& size : sizes) {
+        const Image img = randomImage(rng, size[0], size[1]);
+        for (int radius = 1; radius <= 4; ++radius)
+            EXPECT_TRUE(sameBytes(img.boxFiltered(radius),
+                                  referenceBox(img, radius)))
+                << size[0] << "x" << size[1] << " radius " << radius;
+    }
+    // All-255 images put every window at its largest sum.
+    for (const std::uint8_t v : {0, 255}) {
+        const Image flat(23, 19, v);
+        for (int radius = 1; radius <= 4; ++radius)
+            EXPECT_TRUE(sameBytes(flat.boxFiltered(radius),
+                                  referenceBox(flat, radius)));
+    }
+    // Windows too large for the reciprocal divide, and a radius past
+    // the image's extent.
+    const Image img = randomImage(rng, 70, 50);
+    EXPECT_TRUE(sameBytes(img.boxFiltered(33), referenceBox(img, 33)));
+    EXPECT_TRUE(sameBytes(img.boxFiltered(1000), referenceBox(img, 1000)));
+    // Radius 0 is the identity.
+    EXPECT_TRUE(sameBytes(img.boxFiltered(0), img));
 }
 
 } // namespace

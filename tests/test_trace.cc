@@ -307,4 +307,62 @@ TEST_F(TraceDeterminismTest, OutputsBitwiseIdenticalWithObsOnOrOff)
         ASSERT_DOUBLE_EQ(dark[i], traced[i]) << "signature index " << i;
 }
 
+/**
+ * The ORB extractor's per-level spans (loc.fe.pyramid, .fast, .smooth
+ * and .brief) lie inside their frame's loc.fe span and add up to no
+ * more than it. Uses the fixture for its pipeline run and teardown.
+ */
+TEST_F(TraceDeterminismTest, FeSubSpansNestInsideLocFe)
+{
+    Rng rng(29);
+    sensors::ScenarioParams sp;
+    sp.roadLength = 120.0;
+    sp.vehicles = 2;
+    const sensors::Scenario scenario =
+        sensors::makeUrbanScenario(rng, sp);
+    const sensors::Camera camera(sensors::Resolution::HHD);
+    slam::MappingParams mp;
+    mp.orb.fast.maxKeypoints = 400;
+    obs::tracer().setEnabled(false); // the survey's spans have no parent
+    const slam::PriorMap map =
+        slam::buildPriorMap(scenario.world, camera, 1, mp);
+
+    obs::tracer().setEnabled(true);
+    runPipeline(map, camera, scenario);
+    const auto events = obs::tracer().snapshot();
+
+    std::vector<obs::TraceEvent> parents;
+    for (const auto& e : events)
+        if (e.name == "loc.fe")
+            parents.push_back(e);
+    ASSERT_EQ(parents.size(), 8u); // one per frame
+    std::vector<double> childSum(parents.size(), 0.0);
+    std::set<std::string> childNames;
+    constexpr double slackUs = 1e-3; // start + dur rounding
+    for (const auto& e : events) {
+        if (e.name.rfind("loc.fe.", 0) != 0)
+            continue;
+        childNames.insert(e.name);
+        bool nested = false;
+        for (std::size_t i = 0; i < parents.size() && !nested; ++i) {
+            const auto& p = parents[i];
+            if (e.frame == p.frame && e.tid == p.tid &&
+                e.startUs >= p.startUs &&
+                e.startUs + e.durUs <= p.startUs + p.durUs + slackUs) {
+                childSum[i] += e.durUs;
+                nested = true;
+            }
+        }
+        EXPECT_TRUE(nested) << e.name << " at " << e.startUs
+                            << " us (frame " << e.frame
+                            << ") lies outside every loc.fe";
+    }
+    EXPECT_EQ(childNames,
+              (std::set<std::string>{"loc.fe.brief", "loc.fe.fast",
+                                     "loc.fe.pyramid", "loc.fe.smooth"}));
+    for (std::size_t i = 0; i < parents.size(); ++i)
+        EXPECT_LE(childSum[i], parents[i].durUs + slackUs)
+            << "frame " << parents[i].frame;
+}
+
 } // namespace

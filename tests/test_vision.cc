@@ -3,12 +3,17 @@
  * Tests for the ORB feature-extraction substrate: LUT trigonometry vs
  * libm, FAST segment test on synthetic corners, Harris ranking,
  * orientation, rBRIEF descriptor invariances, pyramid extraction and
- * descriptor matching.
+ * descriptor matching. The vectorised kernels are checked bit for bit
+ * against per-pixel scalar references over seeded random images.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <initializer_list>
+#include <string>
 
 #include "common/random.hh"
 #include "vision/orb.hh"
@@ -38,6 +43,142 @@ addNoise(Image& img, Rng& rng, int amplitude)
                                                         amplitude);
             img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0, 255));
         }
+}
+
+/** A width x height image of uniform random bytes. */
+Image
+randomImage(Rng& rng, int width, int height)
+{
+    Image img(width, height);
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            img.at(x, y) = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    return img;
+}
+
+/** intensityCentroidBin() as per-pixel float accumulation. */
+int
+referenceCentroidBin(const Image& img, int x, int y, TrigMode mode)
+{
+    constexpr int radius = 8;
+    float m10 = 0;
+    float m01 = 0;
+    for (int dy = -radius; dy <= radius; ++dy) {
+        for (int dx = -radius; dx <= radius; ++dx) {
+            if (dx * dx + dy * dy > radius * radius)
+                continue;
+            const float v = img.atClamped(x + dx, y + dy);
+            m10 += static_cast<float>(dx) * v;
+            m01 += static_cast<float>(dy) * v;
+        }
+    }
+    if (mode == TrigMode::Lut)
+        return TrigTables::instance().atan2Bin(m01, m10);
+    return naiveAtan2Bin(m01, m10);
+}
+
+/**
+ * detectFast() as a per-pixel loop over fastSegmentTest() and
+ * harrisResponse(), with the same grid NMS and top-N.
+ */
+std::vector<Keypoint>
+referenceDetect(const Image& img, const FastParams& params,
+                FastOpCounts& counts)
+{
+    constexpr int border = 11;
+    std::vector<Keypoint> candidates;
+    for (int y = border; y < img.height() - border; ++y) {
+        for (int x = border; x < img.width() - border; ++x) {
+            ++counts.pixelsTested;
+            if (!fastSegmentTest(img, x, y, params.threshold))
+                continue;
+            Keypoint kp;
+            kp.x = static_cast<float>(x);
+            kp.y = static_cast<float>(y);
+            kp.response = harrisResponse(img, x, y);
+            candidates.push_back(kp);
+        }
+    }
+    counts.candidates += candidates.size();
+
+    const int cell = std::max(1, params.cellSize);
+    const int gw = (img.width() + cell - 1) / cell;
+    const int gh = (img.height() + cell - 1) / cell;
+    std::vector<int> bestInCell(static_cast<std::size_t>(gw) * gh, -1);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const int cx = static_cast<int>(candidates[i].x) / cell;
+        const int cy = static_cast<int>(candidates[i].y) / cell;
+        int& best = bestInCell[static_cast<std::size_t>(cy) * gw + cx];
+        if (best < 0 || candidates[best].response < candidates[i].response)
+            best = static_cast<int>(i);
+    }
+    std::vector<Keypoint> kept;
+    for (const int idx : bestInCell)
+        if (idx >= 0)
+            kept.push_back(candidates[idx]);
+    if (static_cast<int>(kept.size()) > params.maxKeypoints) {
+        std::nth_element(kept.begin(), kept.begin() + params.maxKeypoints,
+                         kept.end(), [](const Keypoint& a, const Keypoint& b)
+                         { return a.response > b.response; });
+        kept.resize(params.maxKeypoints);
+    }
+    for (auto& kp : kept)
+        kp.orientationBin = referenceCentroidBin(
+            img, static_cast<int>(kp.x), static_cast<int>(kp.y),
+            params.trigMode);
+    counts.keypoints += kept.size();
+    return kept;
+}
+
+/** detectFast() and referenceDetect() agree bit for bit. */
+::testing::AssertionResult
+detectMatchesReference(const Image& img, const FastParams& params)
+{
+    FastOpCounts got;
+    FastOpCounts want;
+    const auto fast = detectFast(img, params, &got);
+    const auto ref = referenceDetect(img, params, want);
+    if (got.pixelsTested != want.pixelsTested ||
+        got.candidates != want.candidates || got.keypoints != want.keypoints)
+        return ::testing::AssertionFailure()
+               << "counts (tested, candidates, keypoints) ("
+               << got.pixelsTested << ", " << got.candidates << ", "
+               << got.keypoints << ") vs (" << want.pixelsTested << ", "
+               << want.candidates << ", " << want.keypoints << ")";
+    if (fast.size() != ref.size())
+        return ::testing::AssertionFailure()
+               << fast.size() << " keypoints vs " << ref.size();
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+        const Keypoint& a = fast[i];
+        const Keypoint& b = ref[i];
+        if (a.x != b.x || a.y != b.y ||
+            std::bit_cast<std::uint32_t>(a.response) !=
+                std::bit_cast<std::uint32_t>(b.response) ||
+            a.orientationBin != b.orientationBin || a.level != b.level)
+            return ::testing::AssertionFailure()
+                   << "keypoint " << i << ": (" << a.x << ", " << a.y
+                   << ", " << a.response << ", bin " << a.orientationBin
+                   << ") vs (" << b.x << ", " << b.y << ", " << b.response
+                   << ", bin " << b.orientationBin << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** describeKeypoint() with clamped reads for every test. */
+Descriptor
+referenceDescribe(const Image& smoothed, const Keypoint& kp)
+{
+    const auto& tests = BriefPattern::instance().rotated(kp.orientationBin);
+    Descriptor desc;
+    const int cx = static_cast<int>(kp.x);
+    const int cy = static_cast<int>(kp.y);
+    for (int i = 0; i < 256; ++i) {
+        const auto& t = tests[i];
+        if (smoothed.atClamped(cx + t.ax, cy + t.ay) <
+            smoothed.atClamped(cx + t.bx, cy + t.by))
+            desc.words[i >> 6] |= 1ULL << (i & 63);
+    }
+    return desc;
 }
 
 TEST(LutTrig, BinRoundTrip)
@@ -150,6 +291,92 @@ TEST(Fast, OpCountsAccumulate)
     EXPECT_EQ(counts.pixelsTested, 2 * before);
 }
 
+TEST(Fast, DetectMatchesPerPixelReference)
+{
+    // cellSize 1 keeps every candidate, so the responses and
+    // orientations of all corners are compared, not only the NMS
+    // winners'. Widths straddle multiples of the 16-pixel block.
+    Rng rng(51);
+    const int sizes[][2] = {{64, 48},  {53, 40},  {38, 30},  {39, 33},
+                            {37, 25},  {23, 23},  {24, 60},  {100, 37},
+                            {131, 29}, {80, 45}};
+    for (const auto& size : sizes) {
+        Image noise = randomImage(rng, size[0], size[1]);
+        const Image smooth = noise.boxFiltered(1);
+        Image squares(size[0], size[1], 90);
+        for (int i = 0; i < 12; ++i)
+            squares.fillRect(ad::BBox(rng.uniform(0, size[0]),
+                                      rng.uniform(0, size[1]),
+                                      rng.uniform(3, 12), rng.uniform(3, 12)),
+                             static_cast<std::uint8_t>(
+                                 rng.uniformInt(0, 255)));
+        addNoise(squares, rng, 4);
+        for (const Image* img :
+             std::initializer_list<const Image*>{&noise, &smooth,
+                                                 &squares}) {
+            for (const int threshold : {0, 1, 20, 60, 254, 255}) {
+                FastParams params;
+                params.threshold = threshold;
+                params.cellSize = 1;
+                params.maxKeypoints = 100000;
+                EXPECT_TRUE(detectMatchesReference(*img, params))
+                    << size[0] << "x" << size[1] << " threshold "
+                    << threshold;
+            }
+            // Default NMS, a top-N cut, and the libm orientation arm.
+            FastParams params;
+            params.maxKeypoints = 5;
+            params.trigMode = TrigMode::Naive;
+            EXPECT_TRUE(detectMatchesReference(*img, params));
+            params.maxKeypoints = 0;
+            EXPECT_TRUE(detectMatchesReference(*img, params));
+        }
+    }
+}
+
+TEST(Fast, ExtremeImagesAndThresholds)
+{
+    // Flat images have no corners at any threshold; a bright square on
+    // black is still found at threshold 254 and never at 255.
+    for (const std::uint8_t v : {0, 255}) {
+        const Image flat(45, 40, v);
+        for (const int threshold : {0, 255}) {
+            FastParams params;
+            params.threshold = threshold;
+            EXPECT_TRUE(detectMatchesReference(flat, params));
+            EXPECT_TRUE(detectFast(flat, params).empty());
+        }
+    }
+    Image square(64, 48, 0);
+    square.fillRect(ad::BBox(20, 16, 20, 16), 255);
+    FastParams params;
+    params.cellSize = 1;
+    for (const int threshold : {0, 254, 255}) {
+        params.threshold = threshold;
+        EXPECT_TRUE(detectMatchesReference(square, params));
+    }
+    params.threshold = 254;
+    EXPECT_FALSE(detectFast(square, params).empty());
+    params.threshold = 255;
+    EXPECT_TRUE(detectFast(square, params).empty());
+}
+
+TEST(Fast, RejectsParametersOutsideTheirRange)
+{
+    // Re-execute rather than fork, as the other death tests do.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const Image img(32, 32, 100);
+    FastParams params;
+    params.threshold = 256;
+    EXPECT_DEATH(detectFast(img, params), "FastParams::threshold.*got 256");
+    params.threshold = -1;
+    EXPECT_DEATH(detectFast(img, params), "FastParams::threshold.*got -1");
+    params.threshold = 20;
+    params.maxKeypoints = -1;
+    EXPECT_DEATH(detectFast(img, params),
+                 "FastParams::maxKeypoints.*got -1");
+}
+
 TEST(Harris, CornerBeatsEdgeAndFlat)
 {
     Image img = squareImage(64, 24, 24, 16);
@@ -195,6 +422,68 @@ TEST(Orientation, LutAndNaiveAgree)
             ++disagreements;
     }
     EXPECT_EQ(disagreements, 0);
+}
+
+TEST(Orientation, MatchesFloatAccumulationEverywhere)
+{
+    // Integer moments equal the per-pixel float sums, for discs inside
+    // the image and for discs the border clamps.
+    Rng rng(24);
+    const Image img = randomImage(rng, 37, 29);
+    for (const TrigMode mode : {TrigMode::Lut, TrigMode::Naive})
+        for (int y = -2; y < img.height() + 2; ++y)
+            for (int x = -2; x < img.width() + 2; ++x)
+                ASSERT_EQ(intensityCentroidBin(img, x, y, mode),
+                          referenceCentroidBin(img, x, y, mode))
+                    << x << ", " << y;
+    for (const std::uint8_t v : {0, 255}) {
+        const Image flat(20, 20, v);
+        EXPECT_EQ(intensityCentroidBin(flat, 10, 10, TrigMode::Naive),
+                  referenceCentroidBin(flat, 10, 10, TrigMode::Naive));
+    }
+}
+
+TEST(Brief, DescriptorMatchesClampedReference)
+{
+    // Keypoints at every position of a small image, so the pattern
+    // reaches past each border and also fits inside.
+    Rng rng(34);
+    const Image img = randomImage(rng, 45, 38);
+    for (int y = 0; y < img.height(); ++y)
+        for (int x = 0; x < img.width(); ++x) {
+            Keypoint kp;
+            kp.x = static_cast<float>(x);
+            kp.y = static_cast<float>(y);
+            kp.orientationBin = (x * 7 + y) % kOrientationBins;
+            ASSERT_EQ(describeKeypoint(img, kp), referenceDescribe(img, kp))
+                << x << ", " << y;
+        }
+}
+
+TEST(Brief, HammingMatchesBitLoop)
+{
+    Rng rng(35);
+    const auto bitLoop = [](const Descriptor& a, const Descriptor& b) {
+        int dist = 0;
+        for (int i = 0; i < 256; ++i)
+            dist += ((a.words[i >> 6] >> (i & 63)) & 1) !=
+                    ((b.words[i >> 6] >> (i & 63)) & 1);
+        return dist;
+    };
+    std::vector<Descriptor> descs(64);
+    for (auto& d : descs)
+        for (auto& word : d.words)
+            word = rng();
+    // Sparse and dense words as well as uniform ones.
+    descs[0].words = {0, 0, 0, 0};
+    descs[1].words = {~0ULL, ~0ULL, ~0ULL, ~0ULL};
+    descs[2].words = {1, 1ULL << 63, 0x8000000000000001ULL, 0};
+    for (std::size_t i = 3; i < 16; ++i)
+        for (auto& word : descs[i].words)
+            word &= rng() & rng();
+    for (const auto& a : descs)
+        for (const auto& b : descs)
+            ASSERT_EQ(a.hamming(b), bitLoop(a, b));
 }
 
 TEST(Brief, DescriptorDeterministic)
