@@ -379,9 +379,9 @@ runTraComparison(sensors::Camera& camera)
     return res;
 }
 
-/** Fused-lowering + arena-planner comparison (the nn.fuse/nn.arena
- *  knobs): DET network at the bench's 160 input in both precisions,
- *  fused+planned vs the unfused allocating reference. */
+/** Fused-lowering + arena-planner comparison: DET network at the
+ *  bench's 160 input in both precisions, fused+planned (the path the
+ *  engines run) vs the unfused allocating reference. */
 struct FusionResults
 {
     std::size_t layersFused = 0;   ///< activations folded (fp32 DET).

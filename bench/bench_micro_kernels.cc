@@ -259,37 +259,6 @@ BENCHMARK(BM_Conv1x1)
     ->Args({64, 1});
 
 void
-BM_ConvSmallSpatial(benchmark::State& state)
-{
-    // 3x3 convolution on a tiny spatial extent (the deep trunk of the
-    // DET head, where the im2col unfold dominates the arithmetic):
-    // im2col (range(1)=0) vs the scalar direct loop (range(1)=1).
-    const int size = static_cast<int>(state.range(0));
-    const bool direct = state.range(1) != 0;
-    const int channels = 64;
-    nn::Conv2D conv("bench", channels, channels, 3, 1, 1);
-    conv.setDirectConv(direct);
-    Rng rng(2);
-    for (auto& w : conv.weights())
-        w = static_cast<float>(rng.uniform(-0.1, 0.1));
-    nn::Tensor in(channels, size, size);
-    for (std::size_t i = 0; i < in.size(); ++i)
-        in.data()[i] = static_cast<float>(rng.uniform(0, 1));
-    for (auto _ : state) {
-        nn::Tensor out = conv.forward(in);
-        benchmark::DoNotOptimize(out.data());
-    }
-    const auto p = conv.profile({channels, size, size});
-    state.SetItemsProcessed(state.iterations() * p.flops);
-    state.SetLabel(direct ? "direct" : "im2col");
-}
-BENCHMARK(BM_ConvSmallSpatial)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1});
-
-void
 BM_DetectorForward(benchmark::State& state)
 {
     detect::DetectorParams dp;

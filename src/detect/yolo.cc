@@ -142,10 +142,8 @@ YoloDetector::YoloDetector(const DetectorParams& params)
     // Lowering order contract (nn/fusion.hh): quantize first, then
     // fuse/direct-mark, then plan the arena over the lowered graph.
     const nn::Shape inShape{1, params.inputSize, params.inputSize};
-    if (params.fuse)
-        nn::lowerNetwork(net_, inShape);
-    if (params.arena)
-        net_.plan(inShape);
+    nn::lowerNetwork(net_, inShape);
+    net_.plan(inShape);
 }
 
 std::vector<Detection>
@@ -156,24 +154,16 @@ YoloDetector::detect(const Image& frame, DetectorTimings* timings)
 
     // --- DNN forward pass. ---
     double dnnMs = 0;
-    nn::Tensor scratchOut;
-    const nn::Tensor* out = &scratchOut;
+    const nn::Tensor* out = nullptr;
     {
         obs::TraceSpan span(obs::tracer(), "det.dnn", "det");
         ScopedTimer timer(dnnMs);
-        const Image resized =
-            frame.resized(params_.inputSize, params_.inputSize);
-        if (net_.planned()) {
-            // Arena path: the reused input tensor plus the planned
-            // intermediates make the whole forward allocation-free
-            // after the first frame.
-            input_.assignFromImage(resized);
-            out = &net_.forwardArena(
-                input_, nn::kernelContext(params_.threads));
-        } else {
-            scratchOut = net_.forward(nn::Tensor::fromImage(resized),
-                                      nn::kernelContext(params_.threads));
-        }
+        // The reused input tensor plus the planned intermediates make
+        // the whole forward allocation-free after the first frame.
+        input_.assignFromImage(
+            frame.resized(params_.inputSize, params_.inputSize));
+        out = &net_.forwardArena(input_,
+                                 nn::kernelContext(params_.threads));
     }
 
     // --- Decode. ---

@@ -75,23 +75,6 @@ struct DetectorParams
     nn::Precision precision = nn::Precision::Fp32;
 
     /**
-     * Run the graph-lowering pass at build (the `nn.fuse` knob):
-     * conv/FC + activation pairs fuse into single layers and
-     * unfold-free convolutions run direct (nn/fusion.hh). Pure
-     * optimization -- outputs are bitwise-identical either way; off
-     * keeps the unfused reference path for A/B runs.
-     */
-    bool fuse = true;
-
-    /**
-     * Plan the network into a static arena at build (the `nn.arena`
-     * knob): intermediates live in one reused buffer and the forward
-     * pass performs zero per-frame tensor allocations (nn/planner.hh).
-     * Bitwise-identical to the allocating path.
-     */
-    bool arena = true;
-
-    /**
      * The same params with the square input downscaled by `scale`,
      * rounded down to the grid's multiple-of-32 constraint and
      * floored at 64 px. The degradation governor's DEGRADED mode
@@ -128,7 +111,7 @@ class YoloDetector
     DetectorParams params_;
     nn::Network net_;
     int gridSize_;
-    nn::Tensor input_; ///< reused network input (planned path).
+    nn::Tensor input_; ///< reused network input.
 };
 
 /** Greedy non-maximum suppression by IoU; exposed for unit tests. */

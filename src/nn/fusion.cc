@@ -34,40 +34,29 @@ tryFuseActivation(Network& net, std::size_t i)
 } // namespace
 
 LoweringReport
-lowerNetwork(Network& net, const Shape& input, const LoweringOptions& opt)
+lowerNetwork(Network& net, const Shape& input)
 {
     LoweringReport report;
+    // Mark a conv (either precision) direct when its unfold would be
+    // a pure copy: 1x1, stride 1, no pad.
+    const auto markDirect = [&](auto* conv) {
+        if (conv && conv->kernel() == 1 && conv->stride() == 1 &&
+            conv->pad() == 0) {
+            conv->setDirectConv(true);
+            ++report.directConvs;
+        }
+    };
     Shape s = input;
     for (std::size_t i = 0; i < net.layerCount(); ++i) {
-        if (opt.fuseActivations && tryFuseActivation(net, i))
+        if (tryFuseActivation(net, i))
             ++report.fusedActivations;
         Layer& layer = net.mutableLayer(i);
-        const Shape out = layer.outputShape(s);
-        if (opt.directConv) {
-            if (auto* conv = dynamic_cast<Conv2D*>(&layer)) {
-                const bool oneByOne = conv->kernel() == 1 &&
-                                      conv->stride() == 1 &&
-                                      conv->pad() == 0;
-                const bool tiny =
-                    out.h * out.w <= opt.directConvMaxPixels;
-                if (oneByOne || tiny) {
-                    conv->setDirectConv(true);
-                    ++report.directConvs;
-                }
-            } else if (auto* qconv =
-                           dynamic_cast<QuantConv2D*>(&layer)) {
-                // Integer path: only the copy-free 1x1 case wins (no
-                // scalar direct kernel; see QuantConv2D::setDirectConv).
-                if (qconv->kernel() == 1 && qconv->stride() == 1 &&
-                    qconv->pad() == 0) {
-                    qconv->setDirectConv(true);
-                    ++report.directConvs;
-                }
-            }
-        }
-        // Activation preserves shape, so the fused layer's output
-        // shape equals the pre-fusion pair's.
-        s = out;
+        markDirect(dynamic_cast<Conv2D*>(&layer));
+        markDirect(dynamic_cast<QuantConv2D*>(&layer));
+        // Propagating the input shape checks the lowered chain
+        // (outputShape panics on a mismatch); Activation preserves
+        // shape, so the fused layer's output equals the pair's.
+        s = layer.outputShape(s);
     }
     return report;
 }

@@ -3,10 +3,11 @@
  * Graph-lowering pass for the inference engine: walk a built (and
  * possibly quantized) Network and (a) fuse each conv/FC + following
  * ReLU/LeakyReLU pair into a single layer whose GEMM epilogue applies
- * the activation before the output store, and (b) mark convolutions
- * whose im2col unfold is pure overhead (1x1/stride-1/pad-0 -- the
- * unfold is a copy -- plus, opt-in via directConvMaxPixels, tiny
- * fp32 spatial outputs) to run direct.
+ * the activation before the output store, and (b) mark the
+ * 1x1/stride-1/pad-0 convolutions, whose im2col unfold is a pure
+ * copy, to feed GEMM directly. The policy is fixed: no other conv is
+ * marked, because the packed GEMM on the unfolded matrix beats a
+ * scalar direct loop even at 2x2 outputs.
  *
  * BatchNorm is already folded into conv weights at model build
  * (foldBatchNorm, layers.hh), so Conv2D+BN+LeakyReLU chains arrive
@@ -16,8 +17,9 @@
  * bit-identical outputs to the unfused reference at any thread count
  * (each fused epilogue performs the same scalar float operations in
  * the same order as the separate layers; see the fuseActivation docs).
- * The unfused path stays available behind the `nn.fuse` knob for A/B
- * testing.
+ * The DET and TRA engines always run lowered and planned; an unfused
+ * copy of a network, run through Network::forward, is the reference
+ * the tests and bench_ext_quant_accuracy compare against.
  *
  * Run order matters: quantize first (calibration indexes the unlowered
  * layer list), then lowerNetwork, then Network::plan.
@@ -30,24 +32,6 @@
 
 namespace ad::nn {
 
-/** Knobs for the lowering pass. */
-struct LoweringOptions
-{
-    /** Fold conv/FC + activation pairs into fused layers. */
-    bool fuseActivations = true;
-    /** Mark unfold-free convolutions (1x1 and small outputs). */
-    bool directConv = true;
-    /**
-     * Largest output pixel count (h*w) lowered to the scalar direct
-     * loop for non-1x1 fp32 convs. Default 0: disabled. Measured on
-     * this host (bench_micro_kernels BM_ConvSmallSpatial), the packed
-     * GEMM on the unfolded matrix beats the scalar loop even at 2x2
-     * outputs -- the unfold is cheap next to losing vectorization --
-     * so only the copy-free 1x1 case is marked by default.
-     */
-    int directConvMaxPixels = 0;
-};
-
 /** What the pass did, for logs/benches/tests. */
 struct LoweringReport
 {
@@ -56,12 +40,11 @@ struct LoweringReport
 };
 
 /**
- * Lower `net` in place for the given input shape. Idempotent in
- * effect: already-fused layers are never re-fused (their follower is
- * no longer an Activation).
+ * Lower `net` in place, checking the chain against the given input
+ * shape. Idempotent in effect: already-fused layers are never
+ * re-fused (their follower is no longer an Activation).
  */
-LoweringReport lowerNetwork(Network& net, const Shape& input,
-                            const LoweringOptions& opt = {});
+LoweringReport lowerNetwork(Network& net, const Shape& input);
 
 } // namespace ad::nn
 

@@ -69,8 +69,11 @@ convOutDim(int in, int kernel, int stride, int pad)
     return (in + 2 * pad - kernel) / stride + 1;
 }
 
-} // namespace
-
+/**
+ * The scratch behind Layer::forward: one per thread, so concurrent
+ * forwards on different threads (forwardBatch's shards, the serve
+ * engine's pool) never share buffers.
+ */
 ForwardScratch&
 threadScratch()
 {
@@ -78,17 +81,16 @@ threadScratch()
     return scratch;
 }
 
-void
-Layer::forwardInto(const float* in, const Shape& inShape, float* out,
-                   ForwardScratch&, const KernelContext& ctx) const
+} // namespace
+
+Tensor
+Layer::forward(const Tensor& in, const KernelContext& ctx) const
 {
-    // Allocating fallback for layers without a raw-pointer override:
-    // round-trip through the Tensor interface. Correct inside a
-    // planned network, just not allocation-free.
-    Tensor t(inShape.c, inShape.h, inShape.w);
-    std::copy(in, in + inShape.elements(), t.data());
-    const Tensor r = forwardImpl(t, ctx);
-    std::copy(r.data(), r.data() + r.size(), out);
+    const Shape inShape{in.channels(), in.height(), in.width()};
+    const Shape outShape = outputShape(inShape);
+    Tensor out(outShape.c, outShape.h, outShape.w);
+    forwardInto(in.data(), inShape, out.data(), threadScratch(), ctx);
+    return out;
 }
 
 Conv2D::Conv2D(std::string name, int inChannels, int outChannels,
@@ -116,74 +118,6 @@ Conv2D::outputShape(const Shape& in) const
         panic("Conv2D ", name(), ": input ", in.h, "x", in.w,
               " too small for kernel");
     return {outChannels_, oh, ow};
-}
-
-Tensor
-Conv2D::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(), in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
-}
-
-/**
- * Direct convolution without the im2col unfold: each output channel's
- * plane is one shard, and every output element accumulates its taps in
- * exactly im2col's (c, ky, kx) row order -- padded taps contribute an
- * explicit `w * 0.0f` term, the same operation GEMM performs on the
- * zero entries of the unfolded matrix -- so the float sum chain, and
- * therefore the result, is bit-identical to the im2col + GEMM path.
- */
-void
-Conv2D::directRun(const float* in, const Shape& inShape,
-                  const Shape& outShape, float* out,
-                  const KernelContext& ctx) const
-{
-    const int inH = inShape.h;
-    const int inW = inShape.w;
-    const int outH = outShape.h;
-    const int outW = outShape.w;
-    const std::size_t n =
-        static_cast<std::size_t>(outH) * static_cast<std::size_t>(outW);
-    const std::size_t filterSize =
-        static_cast<std::size_t>(inChannels_) * kernel_ * kernel_;
-    kernelParallelFor(ctx, 0, static_cast<std::size_t>(outChannels_), 1,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t oc = lo; oc < hi; ++oc) {
-            const float* w = weights_.data() + oc * filterSize;
-            float* plane = out + oc * n;
-            for (int oy = 0; oy < outH; ++oy) {
-                for (int ox = 0; ox < outW; ++ox) {
-                    float acc = plane[static_cast<std::size_t>(oy) * outW +
-                                      ox];
-                    const float* wp = w;
-                    for (int c = 0; c < inChannels_; ++c) {
-                        const float* src = in +
-                            static_cast<std::size_t>(c) * inH * inW;
-                        for (int ky = 0; ky < kernel_; ++ky) {
-                            const int iy = oy * stride_ - pad_ + ky;
-                            const float* row =
-                                (iy < 0 || iy >= inH)
-                                    ? nullptr
-                                    : src + static_cast<std::size_t>(iy) *
-                                          inW;
-                            for (int kx = 0; kx < kernel_; ++kx, ++wp) {
-                                const int ix = ox * stride_ - pad_ + kx;
-                                const float v =
-                                    (!row || ix < 0 || ix >= inW)
-                                        ? 0.0f
-                                        : row[ix];
-                                acc += *wp * v;
-                            }
-                        }
-                    }
-                    plane[static_cast<std::size_t>(oy) * outW + ox] = acc;
-                }
-            }
-        }
-    });
 }
 
 /**
@@ -237,8 +171,6 @@ Conv2D::forwardInto(const float* in, const Shape& inShape, float* out,
         // so GEMM consumes the input planes directly -- identical
         // operands, identical result, no unfold traffic at all.
         gemm(m, n, k, weights_.data(), in, out, ctx);
-    } else if (direct_) {
-        directRun(in, inShape, out_, out, ctx);
     } else {
         im2col(in, inShape.c, inShape.h, inShape.w, kernel_, stride_,
                pad_, out_.h, out_.w, scratch.cols, ctx);
@@ -325,16 +257,6 @@ MaxPool::outputShape(const Shape& in) const
             (in.w - kernel_) / stride_ + 1};
 }
 
-Tensor
-MaxPool::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(), in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
-}
-
 void
 MaxPool::forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch&, const KernelContext&) const
@@ -393,16 +315,6 @@ AvgPool::outputShape(const Shape& in) const
             (in.w - kernel_) / stride_ + 1};
 }
 
-Tensor
-AvgPool::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(), in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
-}
-
 void
 AvgPool::forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch&, const KernelContext&) const
@@ -446,15 +358,6 @@ AvgPool::profile(const Shape& in) const
 
 Softmax::Softmax(std::string name) : Layer(std::move(name))
 {
-}
-
-Tensor
-Softmax::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    Tensor out(in.channels(), in.height(), in.width());
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
 }
 
 void
@@ -503,15 +406,6 @@ Activation::Activation(std::string name, float leakySlope)
 {
 }
 
-Tensor
-Activation::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    Tensor out = in;
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
-}
-
 void
 Activation::forwardInto(const float* in, const Shape& inShape,
                         float* out, ForwardScratch&,
@@ -555,17 +449,6 @@ FullyConnected::outputShape(const Shape& in) const
         panic("FullyConnected ", name(), ": expected ", inFeatures_,
               " inputs, got ", in.elements());
     return {outFeatures_, 1, 1};
-}
-
-Tensor
-FullyConnected::forwardImpl(const Tensor& in,
-                            const KernelContext& ctx) const
-{
-    outputShape({in.channels(), in.height(), in.width()});
-    Tensor out(outFeatures_, 1, 1);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
 }
 
 void

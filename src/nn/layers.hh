@@ -73,7 +73,8 @@ struct Shape
  * layers execute one at a time, so they can share buffers, and all
  * growth is counted through scratchAssign/scratchResize -- after the
  * plan warm-up pass has high-watermarked every buffer, steady-state
- * frames touch the heap zero times.
+ * frames touch the heap zero times. Layer::forward uses a thread-local
+ * instance of its own.
  */
 struct ForwardScratch
 {
@@ -83,14 +84,6 @@ struct ForwardScratch
     std::vector<std::int16_t> qx;   ///< pre-widened FC activation.
     std::vector<std::int32_t> acc;  ///< int32 GEMM/GEMV accumulators.
 };
-
-/**
- * The shared thread-local ForwardScratch behind the legacy Tensor
- * forward path: forwardImpl routes through forwardInto using this
- * instance, so both paths execute identical code (and are therefore
- * bitwise-identical by construction).
- */
-ForwardScratch& threadScratch();
 
 /**
  * Abstract network layer. Layers are stateless with respect to
@@ -115,46 +108,34 @@ class Layer
     virtual Shape outputShape(const Shape& in) const = 0;
 
     /**
-     * Allocation-free execution path used by the planned/arena forward
-     * (nn/planner.hh): read the input at `in` with shape `inShape` and
-     * write the output to `out`, which the caller sized to
-     * outputShape(inShape) and which may alias arena storage (in and
-     * out never alias each other). Scratch comes from `scratch` and
-     * only grows on first use. Results are bitwise-identical to
-     * forward(). The base implementation falls back to forwardImpl
-     * through temporary tensors (allocating), so exotic layers stay
-     * correct inside a planned network without their own override.
+     * The layer's one execution entry point: read the input at `in`
+     * with shape `inShape` and write the output to `out`, which the
+     * caller sized to outputShape(inShape) and which may alias arena
+     * storage (in and out never alias each other). Scratch comes from
+     * `scratch` and only grows on first use, so the planned forward
+     * (Network::forwardArena) allocates nothing in steady state.
+     * Parallel contexts shard compute-heavy layers (conv, FC) across
+     * the pool; results are bitwise-identical to serial execution for
+     * any thread count.
      */
     virtual void forwardInto(const float* in, const Shape& inShape,
                              float* out, ForwardScratch& scratch,
-                             const KernelContext& ctx) const;
-
-    /** Execute the layer serially (the exact pre-parallel behavior). */
-    Tensor
-    forward(const Tensor& in) const
-    {
-        return forwardImpl(in, KernelContext::serial());
-    }
+                             const KernelContext& ctx) const = 0;
 
     /**
-     * Execute the layer under a kernel context. Parallel contexts
-     * shard compute-heavy layers (conv, FC) across the pool; results
-     * are bitwise-identical to serial execution for any thread count.
+     * Allocating convenience wrapper over forwardInto: size a fresh
+     * output tensor by outputShape and run forwardInto with this
+     * thread's scratch. The path behind Network::forward and
+     * forwardBatch; bitwise-identical to the planned forward because
+     * both run the same forwardInto code.
      */
-    Tensor
-    forward(const Tensor& in, const KernelContext& ctx) const
-    {
-        return forwardImpl(in, ctx);
-    }
+    Tensor forward(const Tensor& in,
+                   const KernelContext& ctx = KernelContext::serial()) const;
 
     /** Compute/memory footprint for the given input shape. */
     virtual LayerProfile profile(const Shape& in) const = 0;
 
   protected:
-    /** Layer execution; ctx is serial unless the caller opted in. */
-    virtual Tensor forwardImpl(const Tensor& in,
-                               const KernelContext& ctx) const = 0;
-
     /**
      * Rename the layer; the fusion pass (nn/fusion.hh) appends "+act"
      * when it folds a following Activation into this layer so traces
@@ -217,14 +198,11 @@ class Conv2D : public Layer
     float fusedSlope() const { return fusedSlope_; }
 
     /**
-     * Skip im2col: 1x1/stride-1/pad-0 convs feed the input planes to
-     * GEMM directly (the unfold would be a pure copy), and other
-     * geometries run a scalar direct loop that accumulates taps in
-     * im2col's (c, ky, kx) order with padded taps as explicit zero
-     * multiplies -- either way the result is bitwise-identical to the
-     * im2col path. Set by the lowering pass where skipping the unfold
-     * wins (1x1 always; small outputs where GEMM cannot amortize the
-     * unfold).
+     * Skip the im2col unfold for 1x1/stride-1/pad-0 geometry: the
+     * input planes feed GEMM directly (the unfold would be a pure
+     * copy), so the result is bitwise-identical to the im2col path.
+     * Other geometries ignore the flag and keep the unfold. Set by the
+     * lowering pass (nn/fusion.hh).
      */
     void setDirectConv(bool on) { direct_ = on; }
     bool directConv() const { return direct_; }
@@ -233,14 +211,7 @@ class Conv2D : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
-    void directRun(const float* in, const Shape& inShape,
-                   const Shape& outShape, float* out,
-                   const KernelContext& ctx) const;
     void epilogue(float* out, const Shape& outShape) const;
 
     int inChannels_;
@@ -284,10 +255,6 @@ class MaxPool : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
     int kernel_;
     int stride_;
@@ -310,10 +277,6 @@ class AvgPool : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
     int kernel_;
     int stride_;
@@ -335,10 +298,6 @@ class Softmax : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 };
 
 /** Pointwise activation: ReLU or LeakyReLU(slope). */
@@ -357,10 +316,6 @@ class Activation : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     float leakySlope_;
@@ -400,10 +355,6 @@ class FullyConnected : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     int inFeatures_;

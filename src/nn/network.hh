@@ -119,9 +119,11 @@ class Network
     Tensor forward(const Tensor& input) const;
 
     /**
-     * Run all layers in order under a kernel context; parallel
-     * contexts shard the conv/FC kernels over the pool with
-     * bitwise-identical results to the serial path.
+     * Run all layers in order under a kernel context, each through
+     * Layer::forward (one fresh tensor per layer): the allocating
+     * reference that forwardArena is tested against, and the serve
+     * engine's path. Parallel contexts shard the conv/FC kernels over
+     * the pool with bitwise-identical results to the serial path.
      */
     Tensor forward(const Tensor& input, const KernelContext& ctx) const;
 
@@ -147,8 +149,8 @@ class Network
     NetworkProfile profile(const Shape& input) const;
 
     /**
-     * The plan/arena phase (the `nn.arena` knob): propagate shapes for
-     * `input`, place every intermediate tensor into one reused arena
+     * The plan/arena phase the DET and TRA engines run at build:
+     * propagate shapes for `input`, place every intermediate tensor into one reused arena
      * via the liveness planner (nn/planner.hh), preallocate the output
      * tensor and run one warm-up forward so all scratch buffers reach
      * their high-water marks. After plan(), forwardArena() performs
@@ -162,17 +164,14 @@ class Network
     /** True once plan() has run (and no structural edit followed). */
     bool planned() const { return plan_ != nullptr; }
 
-    /** Drop the plan, restoring the allocating forward-only state. */
-    void unplan() { plan_.reset(); }
-
     /** Peak arena bytes of the current plan (0 when unplanned). */
     std::size_t arenaBytes() const;
 
     /**
      * Planned forward pass: run all layers through their forwardInto
      * path with intermediates in the arena; returns a reference to the
-     * plan's output tensor (valid until the next forwardArena or
-     * plan/unplan call -- copy it before running the network again on
+     * plan's output tensor (valid until the next forwardArena or plan
+     * call or structural edit -- copy it before running the network again on
      * data you still need). Bitwise-identical to forward() at any
      * thread count: both paths execute the same layer code on the same
      * values. fatal() when no plan exists or the input shape differs

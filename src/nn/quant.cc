@@ -228,17 +228,6 @@ QuantConv2D::outputShape(const Shape& in) const
     return {outChannels_, oh, ow};
 }
 
-Tensor
-QuantConv2D::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(),
-                                   in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
-}
-
 void
 QuantConv2D::forwardInto(const float* in, const Shape& inShape,
                          float* out, ForwardScratch& scratch,
@@ -349,17 +338,6 @@ QuantFullyConnected::outputShape(const Shape& in) const
         panic("QuantFullyConnected ", name(), ": expected ", inFeatures_,
               " inputs, got ", in.elements());
     return {outFeatures_, 1, 1};
-}
-
-Tensor
-QuantFullyConnected::forwardImpl(const Tensor& in,
-                                 const KernelContext& ctx) const
-{
-    outputShape({in.channels(), in.height(), in.width()});
-    Tensor out(outFeatures_, 1, 1);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
 }
 
 void

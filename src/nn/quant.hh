@@ -157,10 +157,8 @@ class QuantConv2D : public Layer
     /**
      * Skip the int8 im2col for 1x1/stride-1/pad-0 geometry: the
      * quantized input planes feed gemmInt8 directly (the unfold would
-     * be a pure copy). Other geometries keep the unfold -- the integer
-     * path has no scalar direct kernel because integer sums are exact
-     * in any order anyway, so there is nothing to keep bitwise-safe,
-     * only the copy to skip.
+     * be a pure copy). Other geometries ignore the flag and keep the
+     * unfold, as in Conv2D::setDirectConv.
      */
     void setDirectConv(bool on) { direct_ = on; }
     bool directConv() const { return direct_; }
@@ -168,10 +166,6 @@ class QuantConv2D : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     int inChannels_;
@@ -217,10 +211,6 @@ class QuantFullyConnected : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     int inFeatures_;

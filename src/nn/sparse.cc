@@ -39,14 +39,12 @@ SparseFullyConnected::outputShape(const Shape& in) const
     return {outFeatures_, 1, 1};
 }
 
-Tensor
-SparseFullyConnected::forwardImpl(const Tensor& in,
+void
+SparseFullyConnected::forwardInto(const float* in, const Shape& inShape,
+                                  float* out, ForwardScratch&,
                                   const KernelContext& ctx) const
 {
-    outputShape({in.channels(), in.height(), in.width()});
-    Tensor out(outFeatures_, 1, 1);
-    const float* x = in.data();
-    float* y = out.data();
+    outputShape(inShape);
     // CSR rows write disjoint outputs and each row reduces in index
     // order, so sharding over rows keeps results bitwise-serial.
     kernelParallelFor(
@@ -56,11 +54,10 @@ SparseFullyConnected::forwardImpl(const Tensor& in,
                 float acc = bias_[r];
                 const std::uint32_t end = rowPtr_[r + 1];
                 for (std::uint32_t i = rowPtr_[r]; i < end; ++i)
-                    acc += values_[i] * x[cols_[i]];
-                y[r] = acc;
+                    acc += values_[i] * in[cols_[i]];
+                out[r] = acc;
             }
         });
-    return out;
 }
 
 LayerProfile

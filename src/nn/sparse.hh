@@ -58,9 +58,9 @@ class SparseFullyConnected : public Layer
      */
     std::uint64_t compressedBytes() const;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
+    void forwardInto(const float* in, const Shape& inShape, float* out,
+                     ForwardScratch& scratch,
+                     const KernelContext& ctx) const override;
 
   private:
     int inFeatures_;

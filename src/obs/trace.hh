@@ -105,11 +105,11 @@ class TraceRecorder
     }
 
     /**
-     * Tag subsequent spans with a frame id. The multi-camera rig sets
-     * this once per frame; spans on worker threads inherit it, which
-     * is correct while one frame is in flight at a time. The pipeline
-     * instead scopes each frame-graph stage with a ScopedTraceFrame,
-     * whose thread-local override takes precedence over this global.
+     * Tag subsequent spans with a frame id, process-wide: spans on
+     * every thread inherit it, which is correct while one frame is in
+     * flight at a time. The pipeline instead scopes each frame-graph
+     * stage with a ScopedTraceFrame, whose thread-local override
+     * takes precedence over this global.
      */
     void setFrame(std::int64_t frame)
     {

@@ -12,8 +12,8 @@ namespace ad::pipeline {
 namespace {
 
 /**
- * Fan the pipeline-wide nn.threads / nn.precision / nn.fuse /
- * nn.arena overrides out to the engines.
+ * Fan the pipeline-wide nn.threads / nn.precision overrides out to
+ * the engines.
  */
 PipelineParams
 applyNnOverrides(PipelineParams p)
@@ -27,10 +27,6 @@ applyNnOverrides(PipelineParams p)
         p.detector.precision = p.nnPrecision;
         p.trackerPool.tracker.precision = p.nnPrecision;
     }
-    p.detector.fuse = p.nnFuse;
-    p.trackerPool.tracker.fuse = p.nnFuse;
-    p.detector.arena = p.nnArena;
-    p.trackerPool.tracker.arena = p.nnArena;
     return p;
 }
 

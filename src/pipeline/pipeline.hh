@@ -74,23 +74,6 @@ struct PipelineParams
     nn::Precision nnPrecision = nn::Precision::Fp32;
 
     /**
-     * The `nn.fuse` knob applied to both DNN engines at once: run the
-     * graph-lowering pass (fused conv/FC+activation epilogues, direct
-     * convolutions; nn/fusion.hh) on the DET and TRA networks at
-     * build. On by default; off keeps the unfused reference path.
-     * Outputs are bitwise-identical either way.
-     */
-    bool nnFuse = true;
-
-    /**
-     * The `nn.arena` knob applied to both DNN engines at once: plan
-     * each network's intermediates into one static arena at build so
-     * the per-frame forward performs zero tensor allocations
-     * (nn/planner.hh). On by default; bitwise-identical outputs.
-     */
-    bool nnArena = true;
-
-    /**
      * Deadline watchdog knobs (100 ms budget by default). The monitor
      * observes every frame -- it is a handful of comparisons -- and
      * never influences engine behavior, so outputs are identical

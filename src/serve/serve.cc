@@ -18,14 +18,37 @@ namespace ad::serve {
 
 // ----------------------------------------------------------------- params
 
+namespace {
+
+/**
+ * fatal() naming the knob unless `ok`; `bound` spells the legal range.
+ * Callers phrase `ok` so that NaN fails it.
+ */
+void
+requireKnob(bool ok, const char* key, const char* bound, double value)
+{
+    if (!ok)
+        fatal("config key '", key, "': must be ", bound, ", got ",
+              value);
+}
+
+} // namespace
+
 ModeledEngineParams
 ModeledEngineParams::fromConfig(const Config& cfg)
 {
     ModeledEngineParams p;
     p.fixedMs = cfg.getDouble("engine.fixed-ms", p.fixedMs);
+    requireKnob(p.fixedMs >= 0, "engine.fixed-ms", ">= 0", p.fixedMs);
     p.marginalMs = cfg.getDouble("engine.marginal-ms", p.marginalMs);
+    requireKnob(p.marginalMs > 0, "engine.marginal-ms", "> 0",
+                p.marginalMs);
     p.jitterSigma = cfg.getDouble("engine.jitter", p.jitterSigma);
+    requireKnob(p.jitterSigma >= 0, "engine.jitter", ">= 0",
+                p.jitterSigma);
     p.spikeP = cfg.getDouble("engine.spike-p", p.spikeP);
+    requireKnob(p.spikeP >= 0 && p.spikeP <= 1, "engine.spike-p",
+                "in [0, 1]", p.spikeP);
     return p;
 }
 
@@ -42,9 +65,18 @@ ServeParams::fromConfig(const Config& cfg)
     ServeParams p;
     p.stream.deadlineMs =
         cfg.getDouble("deadline-ms", p.stream.deadlineMs);
+    requireKnob(p.stream.deadlineMs > 0, "deadline-ms", "> 0",
+                p.stream.deadlineMs);
+    // 0 is legal: never queue, serve only the frame in hand.
     p.stream.queueDepth = cfg.getInt("queue-depth", p.stream.queueDepth);
+    requireKnob(p.stream.queueDepth >= 0, "queue-depth", ">= 0",
+                p.stream.queueDepth);
     p.batch.maxBatch = cfg.getInt("batch-max", p.batch.maxBatch);
+    requireKnob(p.batch.maxBatch >= 1, "batch-max", ">= 1",
+                p.batch.maxBatch);
     p.batch.maxWaitMs = cfg.getDouble("window-ms", p.batch.maxWaitMs);
+    requireKnob(p.batch.maxWaitMs >= 0, "window-ms", ">= 0",
+                p.batch.maxWaitMs);
     p.admission.enabled = cfg.getBool("admission", p.admission.enabled);
     p.seed = static_cast<std::uint64_t>(
         cfg.getInt("seed", static_cast<int>(p.seed)));
@@ -53,8 +85,13 @@ ServeParams::fromConfig(const Config& cfg)
     p.governor.enabled = true;
     p.governor.budgetMs = p.stream.deadlineMs;
     p.slo.windowFrames = cfg.getInt("slo.window", p.slo.windowFrames);
+    requireKnob(p.slo.windowFrames >= 1, "slo.window", ">= 1",
+                p.slo.windowFrames);
     p.slo.targetMissRate =
         cfg.getDouble("slo.target-miss-rate", p.slo.targetMissRate);
+    requireKnob(p.slo.targetMissRate > 0 && p.slo.targetMissRate <= 1,
+                "slo.target-miss-rate", "in (0, 1]",
+                p.slo.targetMissRate);
     return p;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/trace.hh"
+
 namespace ad::slam {
 
 PriorMap
@@ -18,6 +20,9 @@ buildPriorMap(const sensors::World& world, const sensors::Camera& camera,
     vision::OrbExtractor orb(params.orb);
     const double y = world.road().laneCenter(lane);
 
+    // The survey runs before any frame: this root span encloses its
+    // loc.fe.* extraction spans, which would otherwise have no parent.
+    obs::TraceSpan span(obs::tracer(), "slam.survey", "loc");
     for (double x = 0.0; x < world.road().length;
          x += params.poseSpacing) {
         const Pose2 ego(x, y, 0.0);

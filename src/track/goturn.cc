@@ -73,14 +73,10 @@ GoturnTracker::GoturnTracker(const TrackerParams& params)
     const nn::Shape cropShape{1, params.cropSize, params.cropSize};
     const nn::Shape featShape = convBranch_.outputShape(cropShape);
     const nn::Shape fcShape{2 * featShape.c, featShape.h, featShape.w};
-    if (params.fuse) {
-        nn::lowerNetwork(convBranch_, cropShape);
-        nn::lowerNetwork(fcHead_, fcShape);
-    }
-    if (params.arena) {
-        convBranch_.plan(cropShape);
-        fcHead_.plan(fcShape);
-    }
+    nn::lowerNetwork(convBranch_, cropShape);
+    nn::lowerNetwork(fcHead_, fcShape);
+    convBranch_.plan(cropShape);
+    fcHead_.plan(fcShape);
 }
 
 void
@@ -121,27 +117,15 @@ GoturnTracker::track(const Image& frame, TrackTimings* timings)
     {
         ScopedTimer timer(dnnMs);
         const nn::KernelContext ctx = nn::kernelContext(params_.threads);
-        if (convBranch_.planned() && fcHead_.planned()) {
-            // Arena path. The branch arena is reused by the second
-            // forward, so the target features are copied into a member
-            // first (capacity reuse keeps steady-state frames
-            // allocation-free).
-            input_.assignFromImage(targetCrop_);
-            tfeat_ = convBranch_.forwardArena(input_, ctx);
-            input_.assignFromImage(searchCrop);
-            const nn::Tensor& searchFeat =
-                convBranch_.forwardArena(input_, ctx);
-            both_.assignConcat(tfeat_, searchFeat);
-            (void)fcHead_.forwardArena(both_, ctx);
-        } else {
-            const nn::Tensor targetFeat = convBranch_.forward(
-                nn::Tensor::fromImage(targetCrop_), ctx);
-            const nn::Tensor searchFeat = convBranch_.forward(
-                nn::Tensor::fromImage(searchCrop), ctx);
-            const nn::Tensor both =
-                nn::Tensor::concatChannels(targetFeat, searchFeat);
-            (void)fcHead_.forward(both, ctx);
-        }
+        // The branch arena is reused by the second forward, so the
+        // target features are copied into a member first (capacity
+        // reuse keeps steady-state frames allocation-free).
+        input_.assignFromImage(targetCrop_);
+        tfeat_ = convBranch_.forwardArena(input_, ctx);
+        input_.assignFromImage(searchCrop);
+        const nn::Tensor& searchFeat = convBranch_.forwardArena(input_, ctx);
+        both_.assignConcat(tfeat_, searchFeat);
+        (void)fcHead_.forwardArena(both_, ctx);
     }
 
     // --- NCC refinement: locate the target appearance inside the

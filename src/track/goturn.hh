@@ -55,22 +55,6 @@ struct TrackerParams
      * (nn/quant.hh); the NCC refinement is unchanged.
      */
     nn::Precision precision = nn::Precision::Fp32;
-
-    /**
-     * Run the graph-lowering pass on both networks at build (the
-     * `nn.fuse` knob): conv/FC + activation pairs fuse and unfold-free
-     * convolutions run direct (nn/fusion.hh). Bitwise-identical to
-     * the unfused reference path.
-     */
-    bool fuse = true;
-
-    /**
-     * Plan both networks into static arenas at build (the `nn.arena`
-     * knob): the per-frame DNN forward performs zero tensor
-     * allocations in steady state (nn/planner.hh). Bitwise-identical
-     * to the allocating path.
-     */
-    bool arena = true;
 };
 
 /**
@@ -116,7 +100,7 @@ class GoturnTracker
     bool active_ = false;
     BBox box_;
     Image targetCrop_;  ///< previous-frame target appearance.
-    nn::Tensor input_;  ///< reused branch input (planned path).
+    nn::Tensor input_;  ///< reused branch input.
     nn::Tensor tfeat_;  ///< target features copied out of the arena.
     nn::Tensor both_;   ///< reused FC-head input concat.
 };

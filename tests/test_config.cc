@@ -116,25 +116,6 @@ TEST(Config, WarnUnknownKeysSuggestsNearestKnownKey)
     EXPECT_EQ(alien.warnUnknownKeys(known), 1);
 }
 
-TEST(Config, WarnUnknownKeysCoversNnLoweringKnobs)
-{
-    // The lowering/planner knobs must be accepted exactly and their
-    // near-miss spellings flagged (the warning suggests the intended
-    // key; the count is the observable contract).
-    const std::vector<std::string> known = {"nn.threads",
-                                            "nn.precision", "nn.fuse",
-                                            "nn.arena"};
-    Config clean;
-    clean.set("nn.fuse", "0");
-    clean.set("nn.arena", "1");
-    EXPECT_EQ(clean.warnUnknownKeys(known), 0);
-
-    Config typo;
-    typo.set("nn.fused", "0");
-    typo.set("nn.arenas", "1");
-    EXPECT_EQ(typo.warnUnknownKeys(known), 2);
-}
-
 TEST(Config, EveryRegisteredKnobIsDocumented)
 {
     // docs/CONFIG.md is the manual's knob reference. This gate makes
@@ -183,8 +164,7 @@ TEST(Config, EveryRegisteredKnobIsDocumented)
     for (const char* k :
          {"scenario", "frames", "resolution", "seed", "csv",
           "det-input", "det-width", "summary", "length", "nn.threads",
-          "nn.precision", "nn.fuse", "nn.arena", "pipeline.depth",
-          "pipeline.seed"})
+          "nn.precision", "pipeline.depth", "pipeline.seed"})
         keys.push_back(k);
     for (const char* k :
          {"streams", "period-ms", "stagger", "measured", "serve-json"})

@@ -258,7 +258,7 @@ TEST(PerfSampler, DeltasAreSaneEitherWorld)
     // Burn a little CPU so the task clock must advance.
     volatile double sink = 0.0;
     for (int i = 0; i < 2000000; ++i)
-        sink += static_cast<double>(i) * 1e-9;
+        sink = sink + static_cast<double>(i) * 1e-9;
     const PerfSampler::Reading end = PerfSampler::read();
     const PerfDelta d = PerfSampler::delta(start, end);
 
@@ -275,8 +275,9 @@ TEST(PerfSampler, DeltasAreSaneEitherWorld)
         EXPECT_DOUBLE_EQ(d.instructions, 0.0);
         EXPECT_DOUBLE_EQ(d.ipc(), 0.0);
     }
-    if (PerfSampler::forcedOff())
+    if (PerfSampler::forcedOff()) {
         EXPECT_FALSE(d.hardware);
+    }
 }
 
 TEST(PerfSampler, PublishLatestRoundTripsPerName)

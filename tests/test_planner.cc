@@ -269,60 +269,44 @@ TEST(Planner, StructuralEditDropsPlan)
 
 TEST(DirectConv, MatchesIm2colBitwise)
 {
+    // A 1x1/stride-1/pad-0 conv marked direct feeds its input planes
+    // to GEMM without the unfold. Negative weights and biases exercise
+    // the leaky branch and the signed-zero-sensitive epilogue.
+    const int inC = 3;
+    const int outC = 8;
+    const int size = 7;
     Rng rng(31);
-    // Negative weights and biases exercise the leaky branch and the
-    // signed-zero-sensitive epilogue.
-    struct Case
-    {
-        int inC, outC, kernel, stride, pad, size;
-    };
-    const Case cases[] = {
-        {3, 8, 1, 1, 0, 7},   // 1x1: unfold-free B feed.
-        {4, 6, 3, 1, 1, 4},   // small output: scalar direct loop.
-        {2, 5, 3, 2, 1, 5},
-    };
-    for (const auto& c : cases) {
-        for (const bool fused : {false, true}) {
-            Network ref("ref");
-            Network dir("dir");
-            auto& rconv = ref.add<Conv2D>("conv", c.inC, c.outC,
-                                          c.kernel, c.stride, c.pad);
-            auto& dconv = dir.add<Conv2D>("conv", c.inC, c.outC,
-                                          c.kernel, c.stride, c.pad);
-            for (std::size_t i = 0; i < rconv.weights().size(); ++i) {
-                const float w =
-                    static_cast<float>(rng.uniform(-1.0, 1.0));
-                rconv.weights()[i] = w;
-                dconv.weights()[i] = w;
-            }
-            for (std::size_t i = 0; i < rconv.bias().size(); ++i) {
-                const float b =
-                    static_cast<float>(rng.uniform(-0.5, 0.5));
-                rconv.bias()[i] = b;
-                dconv.bias()[i] = b;
-            }
-            if (fused) {
-                ref.add<Activation>("act", 0.1f);
-                dir.add<Activation>("act", 0.1f);
-                // Opt into the tiny-output scalar direct loop (off by
-                // default; 1x1 is the always-on case).
-                LoweringOptions opt;
-                opt.directConvMaxPixels = 16;
-                lowerNetwork(dir, {c.inC, c.size, c.size}, opt);
-            } else {
-                dconv.setDirectConv(true);
-            }
-            Rng inRng(17);
-            Tensor input(c.inC, c.size, c.size);
-            for (std::size_t i = 0; i < input.size(); ++i)
-                input.data()[i] =
-                    static_cast<float>(inRng.uniform(-1.0, 1.0));
-            for (const int threads : {1, 0}) {
-                const KernelContext ctx = kernelContext(threads);
-                expectBitwiseEqual(
-                    dir.forward(input, ctx), ref.forward(input, ctx),
-                    "direct conv");
-            }
+    for (const bool fused : {false, true}) {
+        Network ref("ref");
+        Network dir("dir");
+        auto& rconv = ref.add<Conv2D>("conv", inC, outC, 1, 1, 0);
+        auto& dconv = dir.add<Conv2D>("conv", inC, outC, 1, 1, 0);
+        for (std::size_t i = 0; i < rconv.weights().size(); ++i) {
+            const float w = static_cast<float>(rng.uniform(-1.0, 1.0));
+            rconv.weights()[i] = w;
+            dconv.weights()[i] = w;
+        }
+        for (std::size_t i = 0; i < rconv.bias().size(); ++i) {
+            const float b = static_cast<float>(rng.uniform(-0.5, 0.5));
+            rconv.bias()[i] = b;
+            dconv.bias()[i] = b;
+        }
+        if (fused) {
+            ref.add<Activation>("act", 0.1f);
+            dir.add<Activation>("act", 0.1f);
+            EXPECT_EQ(lowerNetwork(dir, {inC, size, size}).directConvs,
+                      1u);
+        } else {
+            dconv.setDirectConv(true);
+        }
+        Rng inRng(17);
+        Tensor input(inC, size, size);
+        for (std::size_t i = 0; i < input.size(); ++i)
+            input.data()[i] = static_cast<float>(inRng.uniform(-1.0, 1.0));
+        for (const int threads : {1, 0}) {
+            const KernelContext ctx = kernelContext(threads);
+            expectBitwiseEqual(dir.forward(input, ctx),
+                               ref.forward(input, ctx), "direct conv");
         }
     }
 }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -429,6 +430,55 @@ TEST(ServeParams, FromConfigReadsTheSharedServeKnobs)
     for (const char* own : {"streams", "period-ms", "stagger"})
         EXPECT_EQ(std::count(keys.begin(), keys.end(), own), 0) << own;
 }
+
+/** One out-of-range value for one serving knob. */
+struct BadKnob
+{
+    const char* key;
+    const char* value;
+};
+
+/** Print as `key=value`: ctest names each case by it. */
+void
+PrintTo(const BadKnob& bad, std::ostream* os)
+{
+    *os << bad.key << "=" << bad.value;
+}
+
+class ServeKnobDeathTest : public ::testing::TestWithParam<BadKnob>
+{
+};
+
+TEST_P(ServeKnobDeathTest, FromConfigFailsNamingTheKnob)
+{
+    // fatal() exits through static destructors, which join the shared
+    // worker pool: re-execute rather than fork (see
+    // PipelineIntegrationTest.RejectsDepthBelowOne).
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const BadKnob& bad = GetParam();
+    Config cfg;
+    cfg.set(bad.key, bad.value);
+    EXPECT_DEATH(
+        {
+            (void)ServeParams::fromConfig(cfg);
+            (void)ModeledEngineParams::fromConfig(cfg);
+        },
+        std::string("config key '") + bad.key + "': must be .*, got " +
+            bad.value);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKnob, ServeKnobDeathTest,
+    ::testing::Values(BadKnob{"deadline-ms", "-1"},
+                      BadKnob{"queue-depth", "-1"},
+                      BadKnob{"batch-max", "0"},
+                      BadKnob{"window-ms", "-5"},
+                      BadKnob{"slo.window", "0"},
+                      BadKnob{"slo.target-miss-rate", "0"},
+                      BadKnob{"engine.fixed-ms", "-1"},
+                      BadKnob{"engine.marginal-ms", "0"},
+                      BadKnob{"engine.jitter", "-0.5"},
+                      BadKnob{"engine.spike-p", "1.5"}));
 
 TEST(ServeReport, TamperedCopiesNameTheBrokenInvariant)
 {

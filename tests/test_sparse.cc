@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "accel/models.hh"
 #include "common/random.hh"
+#include "nn/network.hh"
 #include "nn/sparse.hh"
 
 namespace {
@@ -149,6 +151,40 @@ TEST(SparseFc, ParallelForwardBitwiseEqualsSerial)
             ASSERT_EQ(serial.data()[i], parallel.data()[i])
                 << "at " << i << " with " << threads << " threads";
     }
+}
+
+/**
+ * Inside a planned Network the sparse layer runs through forwardInto
+ * like every other layer: forwardArena matches the allocating
+ * Network::forward bit for bit at any thread count, and steady-state
+ * frames allocate nothing.
+ */
+TEST(SparseFc, PlannedNetworkMatchesForwardAndAllocatesNothing)
+{
+    Rng rng(41);
+    FullyConnected dense("dense", 96, 256);
+    fillDense(dense, rng, 0.3);
+    Network net("sparse-net");
+    fillDense(net.add<FullyConnected>("fc", 64, 96), rng);
+    net.add<Activation>("act", 0.1f);
+    net.add<SparseFullyConnected>("sparse", dense, 0.05f);
+    net.plan({64, 1, 1});
+
+    const Tensor input = randomInput(64, rng);
+    const Tensor expected = net.forward(input);
+    for (const int threads : {1, 2, 0}) {
+        const Tensor& got = net.forwardArena(input, kernelContext(threads));
+        ASSERT_EQ(got.size(), expected.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                                 got.size() * sizeof(float)))
+            << threads << " threads";
+    }
+
+    const std::uint64_t before = allocEventCount();
+    for (int i = 0; i < 5; ++i)
+        (void)net.forwardArena(input);
+    EXPECT_EQ(allocEventCount() - before, 0u)
+        << "planned sparse forward allocated in steady state";
 }
 
 TEST(SparseFc, RejectsNegativeThreshold)

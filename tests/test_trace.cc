@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <set>
@@ -323,7 +324,7 @@ TEST_F(TraceDeterminismTest, FeSubSpansNestInsideLocFe)
     const sensors::Camera camera(sensors::Resolution::HHD);
     slam::MappingParams mp;
     mp.orb.fast.maxKeypoints = 400;
-    obs::tracer().setEnabled(false); // the survey's spans have no parent
+    obs::tracer().setEnabled(false); // survey spans have no loc.fe
     const slam::PriorMap map =
         slam::buildPriorMap(scenario.world, camera, 1, mp);
 
@@ -363,6 +364,64 @@ TEST_F(TraceDeterminismTest, FeSubSpansNestInsideLocFe)
     for (std::size_t i = 0; i < parents.size(); ++i)
         EXPECT_LE(childSum[i], parents[i].durUs + slackUs)
             << "frame " << parents[i].frame;
+}
+
+/**
+ * Every loc.fe* span has a root: the FRAME of its pipeline frame or
+ * the prior-map survey's slam.survey, on the same thread and
+ * enclosing it in time. Uses the fixture for its pipeline run and
+ * teardown.
+ */
+TEST_F(TraceDeterminismTest, EveryFeSpanLiesInsideAFrameOrTheSurvey)
+{
+    Rng rng(31);
+    sensors::ScenarioParams sp;
+    sp.roadLength = 120.0;
+    sp.vehicles = 2;
+    const sensors::Scenario scenario =
+        sensors::makeUrbanScenario(rng, sp);
+    const sensors::Camera camera(sensors::Resolution::HHD);
+    slam::MappingParams mp;
+    mp.orb.fast.maxKeypoints = 400;
+    obs::tracer().clear();
+    obs::tracer().setEnabled(true);
+    const slam::PriorMap map =
+        slam::buildPriorMap(scenario.world, camera, 1, mp);
+    runPipeline(map, camera, scenario);
+    const auto events = obs::tracer().snapshot();
+
+    std::vector<obs::TraceEvent> roots;
+    for (const auto& e : events)
+        if (e.name == "FRAME" || e.name == "slam.survey")
+            roots.push_back(e);
+    EXPECT_EQ(std::count_if(roots.begin(), roots.end(),
+                            [](const obs::TraceEvent& r) {
+                                return r.name == "slam.survey";
+                            }),
+              1);
+    constexpr double slackUs = 1e-3; // start + dur rounding
+    std::size_t feSpans = 0;
+    std::size_t surveyFeSpans = 0;
+    for (const auto& e : events) {
+        if (e.name.rfind("loc.fe", 0) != 0)
+            continue;
+        ++feSpans;
+        const auto root = std::find_if(
+            roots.begin(), roots.end(), [&](const obs::TraceEvent& r) {
+                return r.tid == e.tid && e.startUs >= r.startUs &&
+                       e.startUs + e.durUs <=
+                           r.startUs + r.durUs + slackUs;
+            });
+        ASSERT_NE(root, roots.end())
+            << e.name << " at " << e.startUs << " us (frame " << e.frame
+            << ") lies outside every FRAME and slam.survey";
+        if (root->name == "slam.survey")
+            ++surveyFeSpans;
+    }
+    // Both kinds of root are exercised: the survey's extractions and
+    // the frames' own.
+    EXPECT_GT(surveyFeSpans, 0u);
+    EXPECT_GT(feSpans, surveyFeSpans);
 }
 
 } // namespace

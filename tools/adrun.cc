@@ -10,7 +10,7 @@
  *   adrun [--scenario=highway|urban] [--frames=100]
  *         [--resolution=HHD|KITTI|HD] [--seed=1] [--csv=out.csv]
  *         [--det-input=160] [--summary] [--nn.threads=N]
- *         [--nn.precision=fp32|int8] [--nn.fuse=1] [--nn.arena=1]
+ *         [--nn.precision=fp32|int8]
  *         [--pipeline.depth=1] [--pipeline.seed=0]
  *         [--trace <file>] [--metrics] [--obs.trace_nn]
  *         [--obs.budget_ms=100] [--obs.perf] [--flight-dump[=file]]
@@ -32,13 +32,6 @@
  * quantized int8 kernel path (per-channel weights, calibrated
  * activations; see DESIGN.md "Quantized inference"). Deterministic at
  * any thread count, accuracy-checked by bench_ext_quant_accuracy.
- *
- * --nn.fuse / --nn.arena (both default 1) control the graph-lowering
- * pass (fused conv+activation epilogues, direct convolutions) and the
- * static arena memory planner for the DET/TRA networks. Both are pure
- * optimizations with bitwise-identical outputs; turn one off to A/B
- * the unfused or allocating reference path (DESIGN.md "Fused lowering
- * and the arena planner").
  *
  * --pipeline.depth sets how many frames the frame-graph executor
  * (src/pipeline/frame_graph.hh) keeps in flight: 1 (the default) runs
@@ -101,8 +94,7 @@ knownKeys()
     std::vector<std::string> keys = {
         "scenario", "frames",    "resolution", "seed",      "csv",
         "det-input", "det-width", "summary",    "length",
-        "nn.threads", "nn.precision", "nn.fuse", "nn.arena",
-        "pipeline.depth", "pipeline.seed"};
+        "nn.threads", "nn.precision", "pipeline.depth", "pipeline.seed"};
     for (const auto& k : obs::knownConfigKeys())
         keys.push_back(k);
     for (const auto& k : pipeline::FaultInjectorParams::knownConfigKeys())
@@ -150,8 +142,6 @@ main(int argc, char** argv)
         nn::resolveKernelThreads(cfg.getInt("nn.threads", 0));
     params.nnPrecision =
         nn::parsePrecision(cfg.getString("nn.precision", "fp32"));
-    params.nnFuse = cfg.getBool("nn.fuse", true);
-    params.nnArena = cfg.getBool("nn.arena", true);
     params.depth = cfg.getInt("pipeline.depth", 1);
     params.scheduleSeed = static_cast<std::uint64_t>(
         cfg.getInt("pipeline.seed", 0));

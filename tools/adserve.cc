@@ -14,7 +14,7 @@
  *           [--stagger=1] [--seed=29]
  *           [--engine.fixed-ms=8] [--engine.marginal-ms=9]
  *           [--measured] [--det-input=64] [--det-width=0.05]
- *           [--nn.threads=0] [--nn.precision=fp32|int8] [--nn.fuse=1]
+ *           [--nn.threads=0] [--nn.precision=fp32|int8]
  *           [--serve-json=out.json] [--summary]
  *           [--metrics] [--trace <file>] [--metrics-json=live.json]
  *           [--flight-dump[=file]] [--slo.window=2048]
@@ -31,7 +31,10 @@
  * sweeps in milliseconds). --measured swaps in NnBatchEngine: real
  * Network::forwardBatch calls over the shared ThreadPool, timed with
  * a wall clock -- the serving policies under genuine multithreaded
- * kernels. --nn.precision=int8 additionally lowers the measured
+ * kernels. The measured network always runs through the lowering
+ * pass (fused conv+activation epilogues, nn/fusion.hh), so its
+ * outputs are those of the unfused network bit for bit.
+ * --nn.precision=int8 additionally lowers the measured
  * network to the quantized kernel path (nn/quant.hh) after a seeded
  * calibration pass -- the serving-layer configuration the
  * bench_ext_quant_accuracy goodput comparison runs.
@@ -68,7 +71,7 @@ knownKeys()
     std::vector<std::string> keys = {
         "streams",    "frames",       "period-ms", "stagger",
         "measured",   "det-input",    "det-width", "nn.threads",
-        "nn.precision", "nn.fuse",    "serve-json", "summary"};
+        "nn.precision", "serve-json", "summary"};
     for (auto* registry : {&serve::ServeParams::knownConfigKeys,
                            &serve::ModeledEngineParams::knownConfigKeys,
                            &obs::knownConfigKeys})
@@ -118,11 +121,9 @@ main(int argc, char** argv)
             }
             nn::quantizeNetwork(net, samples);
         }
-        // Graph lowering (the `nn.fuse` knob). The batched engine
-        // runs forwardBatch, which has no single-caller arena, so
-        // there is no nn.arena knob here -- fusion alone applies.
-        if (cfg.getBool("nn.fuse", true))
-            nn::lowerNetwork(net, {1, inputSize, inputSize});
+        // Graph lowering only: the batched engine runs forwardBatch,
+        // which has no single-caller arena to plan.
+        nn::lowerNetwork(net, {1, inputSize, inputSize});
         // One distinct input per stream so batching order is visible
         // to the checksum.
         std::vector<nn::Tensor> inputs;
