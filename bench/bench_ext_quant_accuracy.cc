@@ -385,7 +385,7 @@ runTraComparison(sensors::Camera& camera)
 struct FusionResults
 {
     std::size_t layersFused = 0;   ///< activations folded (fp32 DET).
-    std::size_t directConvs = 0;   ///< convs lowered to direct.
+    std::size_t directConvs = 0;   ///< int8 convs lowered to direct.
     double detUnfusedMs = 0;       ///< fp32 forward, reference path.
     double detFusedMs = 0;         ///< fp32 forwardArena, lowered.
     double detInt8UnfusedMs = 0;
@@ -435,9 +435,12 @@ runFusionComparison(int reps)
         const nn::LoweringReport report =
             nn::lowerNetwork(fused, {1, inputSize, inputSize});
         fused.plan({1, inputSize, inputSize});
+        // Only int8 convs take a direct mark; the fp32 implicit GEMM
+        // reads 1x1 inputs in place without one.
+        if (precision == nn::Precision::Int8)
+            res.directConvs = report.directConvs;
         if (precision == nn::Precision::Fp32) {
             res.layersFused = report.fusedActivations;
-            res.directConvs = report.directConvs;
             res.detArenaBytes = static_cast<std::size_t>(
                 obs::metrics().gauge("nn.det-yolo.arena_bytes")
                     .value());

@@ -1,14 +1,15 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the hot kernels underneath
- * the pipeline engines: GEMM and convolution (the DNN engine), oFAST
+ * the pipeline engines: GEMM and convolution (the DNN engine; the
+ * BM_DetConv/<layer> set times DET's 15 convolutions), oFAST
  * detection, pyramid resize, box smoothing and rBRIEF description
  * (feature extraction), Hamming distance and descriptor matching, NMS,
  * and the two motion planners. These quantify where measured-mode
  * cycles go and guard against performance regressions.
  *
  * On top of the google-benchmark suite, main() runs a fixed GEMM
- * scaling sweep (seed blocked kernel vs packed kernel at 1/2/4/8
+ * scaling sweep (seed blocked kernel vs tiled kernel at 1/2/4/8
  * threads) and records it to BENCH_gemm.json (override the location
  * with --gemm-json=PATH), the artifact backing the
  * parallel-kernel-layer speedup claim in DESIGN.md. The sweep also
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -30,12 +32,14 @@
 #include "detect/yolo.hh"
 #include "nn/gemm.hh"
 #include "nn/gemm_int8.hh"
+#include "nn/fusion.hh"
 #include "nn/layers.hh"
 #include "nn/models.hh"
 #include "nn/quant.hh"
 #include "nn/sparse.hh"
 #include "planning/conformal.hh"
 #include "planning/lattice.hh"
+#include "sensors/world.hh"
 #include "vision/orb.hh"
 #include "vision/spatial_matcher.hh"
 
@@ -228,35 +232,6 @@ BM_Conv2DFusedActivation(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * p.flops);
 }
 BENCHMARK(BM_Conv2DFusedActivation)->Arg(16)->Arg(64);
-
-void
-BM_Conv1x1(benchmark::State& state)
-{
-    // 1x1 convolution via im2col (range(1)=0) vs the direct path
-    // (range(1)=1) that feeds the input to GEMM without unfolding.
-    const int channels = static_cast<int>(state.range(0));
-    const bool direct = state.range(1) != 0;
-    nn::Conv2D conv("bench", channels, channels, 1, 1, 0);
-    conv.setDirectConv(direct);
-    Rng rng(2);
-    for (auto& w : conv.weights())
-        w = static_cast<float>(rng.uniform(-0.1, 0.1));
-    nn::Tensor in(channels, 56, 56);
-    for (std::size_t i = 0; i < in.size(); ++i)
-        in.data()[i] = static_cast<float>(rng.uniform(0, 1));
-    for (auto _ : state) {
-        nn::Tensor out = conv.forward(in);
-        benchmark::DoNotOptimize(out.data());
-    }
-    const auto p = conv.profile({channels, 56, 56});
-    state.SetItemsProcessed(state.iterations() * p.flops);
-    state.SetLabel(direct ? "direct" : "im2col");
-}
-BENCHMARK(BM_Conv1x1)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
 
 void
 BM_DetectorForward(benchmark::State& state)
@@ -600,6 +575,51 @@ runGemmScalingSweep(const char* path)
         std::printf("wrote gemm scaling sweep to %s\n", path);
 }
 
+/**
+ * DET's 15 convolutions at their real shapes: detectorSpec(160, 0.25)
+ * lowered as the engine runs it (activations fused), one benchmark per
+ * layer named BM_DetConv/<layer> and labelled with the ISA tier. Items
+ * are FLOPs, so items_per_second reads as FLOP/s. No pass/fail bar:
+ * the per-layer times feed the kernel ledger.
+ */
+void
+registerDetConvBenchmarks()
+{
+    const int inputSize = 160;
+    auto net = std::make_shared<nn::Network>(nn::buildNetwork(
+        nn::detectorSpec(inputSize, 0.25, sensors::kNumObjectClasses)));
+    Rng rng(1);
+    nn::initDetectorWeights(*net, rng);
+    nn::Shape shape{1, inputSize, inputSize};
+    nn::lowerNetwork(*net, shape);
+    for (std::size_t i = 0; i < net->layerCount(); ++i) {
+        const nn::Layer* layer = &net->layer(i);
+        const nn::Shape in = shape;
+        shape = layer->outputShape(in);
+        if (layer->kind() != nn::LayerKind::Conv)
+            continue;
+        const std::string name = "BM_DetConv/" + layer->name();
+        benchmark::RegisterBenchmark(
+            name.c_str(), [net, layer, in](benchmark::State& state) {
+                const nn::Shape out = layer->outputShape(in);
+                nn::Tensor x(in.c, in.h, in.w);
+                nn::Tensor y(out.c, out.h, out.w);
+                Rng values(2);
+                for (std::size_t j = 0; j < x.size(); ++j)
+                    x.data()[j] = static_cast<float>(values.uniform(-1, 1));
+                nn::ForwardScratch scratch;
+                for (auto _ : state) {
+                    layer->forwardInto(x.data(), in, y.data(), scratch,
+                                       nn::KernelContext::serial());
+                    benchmark::DoNotOptimize(y.data());
+                }
+                state.SetItemsProcessed(state.iterations() *
+                                        layer->profile(in).flops);
+                state.SetLabel(nn::int8KernelIsa());
+            });
+    }
+}
+
 } // namespace
 
 int
@@ -623,6 +643,7 @@ main(int argc, char** argv)
     // The JSON sweep runs first so the scaling artifact is produced
     // even when --benchmark_filter excludes the GEMM benches.
     runGemmScalingSweep(gemmJsonPath.c_str());
+    registerDetConvBenchmarks();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

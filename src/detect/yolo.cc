@@ -126,8 +126,8 @@ YoloDetector::YoloDetector(const DetectorParams& params)
     nn::initDetectorWeights(net_, rng);
     if (params.precision == nn::Precision::Int8) {
         // Calibrate over seeded uniform [0, 1] inputs -- the range
-        // Tensor::fromImage normalizes real frames into -- then lower
-        // the conv stack to int8 in place.
+        // Tensor::assignFromImage normalizes real frames into -- then
+        // lower the conv stack to int8 in place.
         Rng calRng(params.seed ^ 0xAD0C0DE5ULL);
         std::vector<nn::Tensor> samples;
         for (int s = 0; s < 2; ++s) {

@@ -37,22 +37,20 @@ LoweringReport
 lowerNetwork(Network& net, const Shape& input)
 {
     LoweringReport report;
-    // Mark a conv (either precision) direct when its unfold would be
-    // a pure copy: 1x1, stride 1, no pad.
-    const auto markDirect = [&](auto* conv) {
-        if (conv && conv->kernel() == 1 && conv->stride() == 1 &&
-            conv->pad() == 0) {
-            conv->setDirectConv(true);
-            ++report.directConvs;
-        }
-    };
     Shape s = input;
     for (std::size_t i = 0; i < net.layerCount(); ++i) {
         if (tryFuseActivation(net, i))
             ++report.fusedActivations;
         Layer& layer = net.mutableLayer(i);
-        markDirect(dynamic_cast<Conv2D*>(&layer));
-        markDirect(dynamic_cast<QuantConv2D*>(&layer));
+        // Mark an int8 conv direct when its unfold would be a pure
+        // copy: 1x1, stride 1, no pad. (The fp32 conv's implicit GEMM
+        // reads such a layer's input planes in place without a mark.)
+        auto* qconv = dynamic_cast<QuantConv2D*>(&layer);
+        if (qconv && qconv->kernel() == 1 && qconv->stride() == 1 &&
+            qconv->pad() == 0) {
+            qconv->setDirectConv(true);
+            ++report.directConvs;
+        }
         // Propagating the input shape checks the lowered chain
         // (outputShape panics on a mismatch); Activation preserves
         // shape, so the fused layer's output equals the pair's.

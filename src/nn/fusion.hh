@@ -3,11 +3,10 @@
  * Graph-lowering pass for the inference engine: walk a built (and
  * possibly quantized) Network and (a) fuse each conv/FC + following
  * ReLU/LeakyReLU pair into a single layer whose GEMM epilogue applies
- * the activation before the output store, and (b) mark the
+ * the activation before the output store, and (b) mark the int8
  * 1x1/stride-1/pad-0 convolutions, whose im2col unfold is a pure
- * copy, to feed GEMM directly. The policy is fixed: no other conv is
- * marked, because the packed GEMM on the unfolded matrix beats a
- * scalar direct loop even at 2x2 outputs.
+ * copy, to feed the int8 GEMM directly. The fp32 conv needs no mark:
+ * its implicit GEMM never unfolds (nn/gemm.hh).
  *
  * BatchNorm is already folded into conv weights at model build
  * (foldBatchNorm, layers.hh), so Conv2D+BN+LeakyReLU chains arrive
@@ -36,7 +35,7 @@ namespace ad::nn {
 struct LoweringReport
 {
     std::size_t fusedActivations = 0;
-    std::size_t directConvs = 0;
+    std::size_t directConvs = 0; ///< int8 convs marked direct.
 };
 
 /**

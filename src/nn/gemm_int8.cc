@@ -1,10 +1,7 @@
 #include "nn/gemm_int8.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <vector>
 
-#include "common/logging.hh"
 #include "nn/tensor.hh"
 
 #if defined(__x86_64__) || defined(__amd64__)
@@ -231,22 +228,6 @@ dotAvx2(const std::int16_t* a, const std::int16_t* b, std::size_t k)
     return acc;
 }
 
-bool
-haveAvx2()
-{
-    static const bool have = __builtin_cpu_supports("avx2");
-    return have;
-}
-
-bool
-haveAvx512Vnni()
-{
-    static const bool have = __builtin_cpu_supports("avx512f") &&
-                             __builtin_cpu_supports("avx512bw") &&
-                             __builtin_cpu_supports("avx512vnni");
-    return have;
-}
-
 // VNNI byte lanes: 64 u8/s8 per zmm, so k pads to a multiple of 64.
 constexpr std::size_t kStepVnni = 64;
 
@@ -340,111 +321,13 @@ dotVnni(const std::int16_t* a, const std::int16_t* b, std::size_t k)
 
 #endif // AD_NN_INT8_X86
 
-/** Dispatch tiers, worst to best. */
-enum class Int8Tier { Scalar = 0, Sse2, Avx2, Avx512Vnni };
-
-const char*
-tierName(Int8Tier t)
-{
-    switch (t) {
-      case Int8Tier::Scalar: return "scalar";
-      case Int8Tier::Sse2: return "sse2";
-      case Int8Tier::Avx2: return "avx2";
-      case Int8Tier::Avx512Vnni: return "avx512vnni";
-    }
-    return "?";
-}
-
-bool
-parseTierName(const std::string& name, Int8Tier& out)
-{
-    for (const Int8Tier t :
-         {Int8Tier::Scalar, Int8Tier::Sse2, Int8Tier::Avx2,
-          Int8Tier::Avx512Vnni}) {
-        if (name == tierName(t)) {
-            out = t;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-tierAvailable(Int8Tier t)
-{
-#if AD_NN_INT8_X86
-    switch (t) {
-      case Int8Tier::Scalar: return true;
-      case Int8Tier::Sse2: return true; // x86-64 baseline.
-      case Int8Tier::Avx2: return haveAvx2();
-      case Int8Tier::Avx512Vnni: return haveAvx512Vnni();
-    }
-    return false;
-#else
-    return t == Int8Tier::Scalar;
-#endif
-}
-
-Int8Tier
-bestTier()
-{
-#if AD_NN_INT8_X86
-    if (haveAvx512Vnni())
-        return Int8Tier::Avx512Vnni;
-    if (haveAvx2())
-        return Int8Tier::Avx2;
-    return Int8Tier::Sse2;
-#else
-    return Int8Tier::Scalar;
-#endif
-}
-
-/**
- * Resolve the ambient tier: AD_FORCE_ISA if set (parsed once; fatal
- * on an unknown name or an unavailable tier so a typoed CI matrix
- * entry cannot silently measure the wrong kernel), else the best the
- * CPU supports.
- */
-Int8Tier
-ambientTier()
-{
-    static const Int8Tier tier = [] {
-        const char* env = std::getenv("AD_FORCE_ISA");
-        if (!env || !*env)
-            return bestTier();
-        Int8Tier forced;
-        if (!parseTierName(env, forced))
-            fatal("AD_FORCE_ISA=\"", env,
-                  "\": unknown int8 ISA tier (expected scalar, sse2, "
-                  "avx2 or avx512vnni)");
-        if (!tierAvailable(forced))
-            fatal("AD_FORCE_ISA=", env,
-                  ": tier not available on this host (best is ",
-                  tierName(bestTier()), ")");
-        return forced;
-    }();
-    return tier;
-}
-
-// setInt8KernelIsa override; -1 means "no override" (ambient rules).
-std::atomic<int> forcedTier{-1};
-
-Int8Tier
-currentTier()
-{
-    const int f = forcedTier.load(std::memory_order_relaxed);
-    if (f >= 0)
-        return static_cast<Int8Tier>(f);
-    return ambientTier();
-}
-
 RowRangeFn
-rowRangeForTier(Int8Tier t)
+rowRangeForTier(IsaTier t)
 {
 #if AD_NN_INT8_X86
     switch (t) {
-      case Int8Tier::Scalar: return rowRangeScalar;
-      case Int8Tier::Sse2: return rowRangeSse2;
+      case IsaTier::Scalar: return rowRangeScalar;
+      case IsaTier::Sse2: return rowRangeSse2;
       default: return rowRangeAvx2;
     }
 #else
@@ -454,14 +337,14 @@ rowRangeForTier(Int8Tier t)
 }
 
 DotFn
-dotForTier(Int8Tier t)
+dotForTier(IsaTier t)
 {
 #if AD_NN_INT8_X86
     switch (t) {
-      case Int8Tier::Scalar: return dotScalar;
-      case Int8Tier::Sse2: return dotSse2;
-      case Int8Tier::Avx2: return dotAvx2;
-      case Int8Tier::Avx512Vnni: return dotVnni;
+      case IsaTier::Scalar: return dotScalar;
+      case IsaTier::Sse2: return dotSse2;
+      case IsaTier::Avx2: return dotAvx2;
+      case IsaTier::Avx512Vnni: return dotVnni;
     }
     return dotScalar;
 #else
@@ -472,38 +355,6 @@ dotForTier(Int8Tier t)
 
 } // namespace
 
-const char*
-int8KernelIsa()
-{
-    return tierName(currentTier());
-}
-
-std::vector<std::string>
-int8KernelIsaTiers()
-{
-    std::vector<std::string> tiers;
-    for (const Int8Tier t :
-         {Int8Tier::Scalar, Int8Tier::Sse2, Int8Tier::Avx2,
-          Int8Tier::Avx512Vnni})
-        if (tierAvailable(t))
-            tiers.emplace_back(tierName(t));
-    return tiers;
-}
-
-bool
-setInt8KernelIsa(const std::string& name)
-{
-    if (name.empty()) {
-        forcedTier.store(-1, std::memory_order_relaxed);
-        return true;
-    }
-    Int8Tier t;
-    if (!parseTierName(name, t) || !tierAvailable(t))
-        return false;
-    forcedTier.store(static_cast<int>(t), std::memory_order_relaxed);
-    return true;
-}
-
 void
 gemmInt8(std::size_t m, std::size_t n, std::size_t k,
          const std::int16_t* a, const std::int8_t* b, std::int32_t* c,
@@ -511,10 +362,10 @@ gemmInt8(std::size_t m, std::size_t n, std::size_t k,
 {
     if (m == 0 || n == 0 || k == 0)
         return;
-    const Int8Tier tier = currentTier();
+    const IsaTier tier = kernelIsaTier();
 
 #if AD_NN_INT8_X86
-    if (tier == Int8Tier::Avx512Vnni) {
+    if (tier == IsaTier::Avx512Vnni) {
         // VNNI packing: A biased into u8 (pad lanes 128 = biased
         // zero), B transposed s8 (pad 0), plus per-column sums of B
         // for the exact +128 bias correction.
@@ -610,7 +461,7 @@ void
 gemvInt8(std::size_t m, std::size_t k, const std::int16_t* a,
          const std::int16_t* x, std::int32_t* y, const KernelContext& ctx)
 {
-    const DotFn dot = dotForTier(currentTier());
+    const DotFn dot = dotForTier(kernelIsaTier());
     kernelParallelFor(ctx, 0, m, 64,
                       [=](std::size_t lo, std::size_t hi) {
                           for (std::size_t i = lo; i < hi; ++i)

@@ -24,15 +24,14 @@
  * matching the fp32 kernel-layer contract (DESIGN.md, "Quantized
  * inference").
  *
- * Dispatch tiers: scalar -> SSE2 -> AVX2 -> AVX-512-VNNI, picked at
- * runtime from CPUID. The VNNI tier feeds vpdpbusd (u8 x s8, four
- * pairs per int32 lane per instruction) by biasing the signed A
- * operand into u8 (+128) and subtracting 128 * colsum(B) afterwards --
- * an exact integer correction, so every tier is bit-identical to every
- * other. The AD_FORCE_ISA environment variable
- * (scalar/sse2/avx2/avx512vnni) pins the tier for A/B runs and the CI
- * cross-ISA leg; an unknown or unavailable name is a fatal() so a
- * typoed matrix entry cannot silently measure the wrong kernel.
+ * Dispatch tiers: scalar -> SSE2 -> AVX2 -> AVX-512-VNNI, resolved by
+ * the ladder the fp32 kernels share (nn/isa.hh). The VNNI tier feeds
+ * vpdpbusd (u8 x s8, four pairs per int32 lane per instruction) by
+ * biasing the signed A operand into u8 (+128) and subtracting
+ * 128 * colsum(B) afterwards -- an exact integer correction, so every
+ * tier is bit-identical to every other. The AD_FORCE_ISA environment
+ * variable (scalar/sse2/avx2/avx512vnni) pins the tier of both
+ * precisions for A/B runs and the CI cross-ISA legs.
  */
 
 #ifndef AD_NN_GEMM_INT8_HH
@@ -40,9 +39,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "nn/isa.hh"
 #include "nn/kernel_context.hh"
 
 namespace ad::nn {
@@ -84,32 +82,6 @@ void gemmInt8Naive(std::size_t m, std::size_t n, std::size_t k,
 void gemvInt8(std::size_t m, std::size_t k, const std::int16_t* a,
               const std::int16_t* x, std::int32_t* y,
               const KernelContext& ctx = KernelContext::serial());
-
-/**
- * Name of the int8 micro-kernel dispatch tier currently in effect
- * ("avx512vnni", "avx2", "sse2" or "scalar") -- recorded into
- * BENCH_quant.json so the artifact states which ISA produced the
- * measured speedup. Reflects AD_FORCE_ISA / setInt8KernelIsa
- * overrides.
- */
-const char* int8KernelIsa();
-
-/**
- * Names of every dispatch tier this host can execute, ordered worst to
- * best ("scalar" first). The tier cross-check test iterates this list
- * and asserts all members produce bit-identical results.
- */
-std::vector<std::string> int8KernelIsaTiers();
-
-/**
- * Force the dispatch tier by name for this process; the empty string
- * restores automatic (best-available or AD_FORCE_ISA) selection.
- * Returns false -- changing nothing -- when the name is unknown or
- * the tier is unavailable on this host. Test hook; production
- * overrides use AD_FORCE_ISA so the choice is visible in the
- * environment block of a benchmark log.
- */
-bool setInt8KernelIsa(const std::string& name);
 
 } // namespace ad::nn
 

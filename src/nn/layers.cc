@@ -22,47 +22,6 @@ layerKindName(LayerKind kind)
 
 namespace {
 
-/**
- * im2col: unfold kernel-sized patches of the input into columns so the
- * convolution becomes one GEMM. Output is (inC * k * k) x (outH * outW),
- * row-major. The (c, ky, kx) rows are independent pure writes, so they
- * shard across the kernel context with bitwise-deterministic results.
- */
-void
-im2col(const float* in, int inC, int inH, int inW, int kernel,
-       int stride, int pad, int outH, int outW, std::vector<float>& cols,
-       const KernelContext& ctx)
-{
-    const std::size_t rows =
-        static_cast<std::size_t>(inC) * kernel * kernel;
-    scratchAssign(cols, rows * outH * outW, 0.0f);
-    kernelParallelFor(ctx, 0, rows, 4, [&](std::size_t lo,
-                                           std::size_t hi) {
-        for (std::size_t rowIdx = lo; rowIdx < hi; ++rowIdx) {
-            const int kx = static_cast<int>(rowIdx % kernel);
-            const int ky = static_cast<int>(rowIdx / kernel % kernel);
-            const int c = static_cast<int>(rowIdx / kernel / kernel);
-            const float* plane =
-                in + static_cast<std::size_t>(c) * inH * inW;
-            float* dst = cols.data() +
-                rowIdx * static_cast<std::size_t>(outH) * outW;
-            for (int oy = 0; oy < outH; ++oy) {
-                const int iy = oy * stride - pad + ky;
-                if (iy < 0 || iy >= inH) {
-                    dst += outW;
-                    continue;
-                }
-                const float* srcRow = plane +
-                    static_cast<std::size_t>(iy) * inW;
-                for (int ox = 0; ox < outW; ++ox) {
-                    const int ix = ox * stride - pad + kx;
-                    *dst++ = (ix < 0 || ix >= inW) ? 0.0f : srcRow[ix];
-                }
-            }
-        }
-    });
-}
-
 int
 convOutDim(int in, int kernel, int stride, int pad)
 {
@@ -120,63 +79,17 @@ Conv2D::outputShape(const Shape& in) const
     return {outChannels_, oh, ow};
 }
 
-/**
- * Bias (+ optionally fused activation) pass. The zero-bias skip of the
- * unfused path is preserved exactly: adding 0.0f is not a no-op in
- * IEEE float (it flips -0.0 to +0.0), so the fused epilogue must make
- * the same skip decision to stay bitwise-identical.
- */
-void
-Conv2D::epilogue(float* out, const Shape& outShape) const
-{
-    const std::size_t n = static_cast<std::size_t>(outShape.h) *
-                          static_cast<std::size_t>(outShape.w);
-    const float slope = fusedSlope_;
-    for (int oc = 0; oc < outShape.c; ++oc) {
-        const float b = bias_[static_cast<std::size_t>(oc)];
-        float* plane = out + static_cast<std::size_t>(oc) * n;
-        if (!fusedAct_) {
-            if (b == 0.0f)
-                continue;
-            for (std::size_t i = 0; i < n; ++i)
-                plane[i] += b;
-        } else if (b != 0.0f) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const float v = plane[i] + b;
-                plane[i] = v > 0.0f ? v : slope * v;
-            }
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                const float v = plane[i];
-                plane[i] = v > 0.0f ? v : slope * v;
-            }
-        }
-    }
-}
-
 void
 Conv2D::forwardInto(const float* in, const Shape& inShape, float* out,
                     ForwardScratch& scratch,
                     const KernelContext& ctx) const
 {
-    const Shape out_ = outputShape(inShape);
-    const std::size_t m = outChannels_;
-    const std::size_t k = static_cast<std::size_t>(inChannels_) * kernel_ *
-                          kernel_;
-    const std::size_t n = static_cast<std::size_t>(out_.h) * out_.w;
-    std::fill(out, out + out_.elements(), 0.0f);
-
-    if (direct_ && kernel_ == 1 && stride_ == 1 && pad_ == 0) {
-        // 1x1/s1/p0: the im2col matrix IS the input (inC x (h*w)),
-        // so GEMM consumes the input planes directly -- identical
-        // operands, identical result, no unfold traffic at all.
-        gemm(m, n, k, weights_.data(), in, out, ctx);
-    } else {
-        im2col(in, inShape.c, inShape.h, inShape.w, kernel_, stride_,
-               pad_, out_.h, out_.w, scratch.cols, ctx);
-        gemm(m, n, k, weights_.data(), scratch.cols.data(), out, ctx);
-    }
-    epilogue(out, out_);
+    const Shape os = outputShape(inShape);
+    const ConvGeometry g{inShape.c, inShape.h, inShape.w, kernel_,
+                         stride_, pad_, os.h, os.w};
+    const ConvEpilogue ep{bias_.data(), fusedAct_, fusedSlope_};
+    convImplicitGemm(g, static_cast<std::size_t>(outChannels_),
+                     weights_.data(), ep, in, out, scratch.conv, ctx);
 }
 
 void

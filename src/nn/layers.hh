@@ -1,7 +1,7 @@
 /**
  * @file
  * Layer zoo for the from-scratch DNN inference engine: convolution
- * (im2col + GEMM), max pooling, ReLU/LeakyReLU activations and fully
+ * (implicit GEMM), max pooling, ReLU/LeakyReLU activations and fully
  * connected layers -- exactly the layer types the paper's FPGA design
  * supports ("all the types of layers used in DET and TRA, including
  * convolutional layers, pooling layers, ReLu layers and fully connected
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/gemm.hh"
 #include "nn/kernel_context.hh"
 #include "nn/tensor.hh"
 
@@ -78,7 +79,7 @@ struct Shape
  */
 struct ForwardScratch
 {
-    std::vector<float> cols;        ///< fp32 im2col matrix.
+    ConvScratch conv;               ///< fp32 conv: padded input or panels.
     std::vector<std::int8_t> qin;   ///< quantized input tensor.
     std::vector<std::int8_t> qcols; ///< int8 im2col matrix.
     std::vector<std::int16_t> qx;   ///< pre-widened FC activation.
@@ -149,7 +150,10 @@ class Layer
 
 /**
  * 2D convolution with square kernel, symmetric zero padding and fused
- * optional bias. Lowered to GEMM through im2col.
+ * optional bias, run as one implicit GEMM (convImplicitGemm,
+ * nn/gemm.hh): the register tiles read the input taps in place or from
+ * panels packed straight from the input, and apply bias and activation
+ * as they store.
  */
 class Conv2D : public Layer
 {
@@ -186,34 +190,22 @@ class Conv2D : public Layer
 
     /**
      * Fold a following ReLU/LeakyReLU into this layer's epilogue (the
-     * fusion lowering, nn/fusion.hh): the activation is applied in the
-     * bias pass right before the output store, so the separate
-     * Activation layer -- and its full tensor read/write -- disappears.
-     * Bitwise-identical to running the Activation afterwards: the
-     * epilogue performs the same scalar operations in the same order.
-     * Renames the layer "<name>+act".
+     * fusion lowering, nn/fusion.hh): the activation is applied to each
+     * register tile right after its bias add, before the one output
+     * store, so the separate Activation layer -- and its full tensor
+     * read/write -- disappears. Bitwise-identical to running the
+     * Activation afterwards: the epilogue performs the same operations
+     * per element in the same order. Renames the layer "<name>+act".
      */
     void fuseActivation(float leakySlope);
     bool hasFusedActivation() const { return fusedAct_; }
     float fusedSlope() const { return fusedSlope_; }
-
-    /**
-     * Skip the im2col unfold for 1x1/stride-1/pad-0 geometry: the
-     * input planes feed GEMM directly (the unfold would be a pure
-     * copy), so the result is bitwise-identical to the im2col path.
-     * Other geometries ignore the flag and keep the unfold. Set by the
-     * lowering pass (nn/fusion.hh).
-     */
-    void setDirectConv(bool on) { direct_ = on; }
-    bool directConv() const { return direct_; }
 
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
   private:
-    void epilogue(float* out, const Shape& outShape) const;
-
     int inChannels_;
     int outChannels_;
     int kernel_;
@@ -221,7 +213,6 @@ class Conv2D : public Layer
     int pad_;
     bool fusedAct_ = false;
     float fusedSlope_ = 0.0f;
-    bool direct_ = false;
     std::vector<float> weights_; ///< outC x (inC * k * k), row-major.
     std::vector<float> bias_;    ///< outC.
 };

@@ -157,8 +157,9 @@ class QuantConv2D : public Layer
     /**
      * Skip the int8 im2col for 1x1/stride-1/pad-0 geometry: the
      * quantized input planes feed gemmInt8 directly (the unfold would
-     * be a pure copy). Other geometries ignore the flag and keep the
-     * unfold, as in Conv2D::setDirectConv.
+     * be a pure copy), so the result is bitwise-identical to the
+     * unfolded path. Other geometries ignore the flag and keep the
+     * unfold. Set by the lowering pass (nn/fusion.hh).
      */
     void setDirectConv(bool on) { direct_ = on; }
     bool directConv() const { return direct_; }

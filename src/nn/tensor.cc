@@ -50,18 +50,6 @@ Tensor::shapeString() const
     return oss.str();
 }
 
-Tensor
-Tensor::fromImage(const Image& img)
-{
-    Tensor t(1, img.height(), img.width());
-    float* dst = t.data();
-    const std::uint8_t* src = img.data();
-    const std::size_t n = img.size();
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = static_cast<float>(src[i]) * (1.0f / 255.0f);
-    return t;
-}
-
 void
 Tensor::assignFromImage(const Image& img)
 {

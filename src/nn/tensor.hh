@@ -95,16 +95,10 @@ class Tensor
     std::string shapeString() const;
 
     /**
-     * Build a 1 x h x w tensor from a grayscale image, normalizing
-     * pixels to [0, 1] -- the network input path of DET and TRA.
-     */
-    static Tensor fromImage(const Image& img);
-
-    /**
-     * In-place fromImage: overwrite this tensor with the normalized
-     * image, reusing the existing payload when capacity suffices --
-     * the allocation-free per-frame input path of the planned
-     * detector/tracker engines.
+     * Overwrite this tensor with a 1 x h x w copy of a grayscale image,
+     * pixels normalized to [0, 1], reusing the existing payload when
+     * capacity suffices -- the allocation-free per-frame network input
+     * path of the DET and TRA engines.
      */
     void assignFromImage(const Image& img);
 

@@ -102,7 +102,7 @@ namespace {
 
 /**
  * Per-thread frame override installed by ScopedTraceFrame; INT64_MIN
- * means "no override, fall back to the recorder's global frame".
+ * means "no override": spans carry frame -1.
  */
 thread_local std::int64_t threadFrameOverride = INT64_MIN;
 
@@ -113,7 +113,7 @@ TraceRecorder::resolveFrame() const
 {
     if (threadFrameOverride != INT64_MIN)
         return threadFrameOverride;
-    return currentFrame();
+    return -1;
 }
 
 ScopedTraceFrame::ScopedTraceFrame(std::int64_t frame)

@@ -105,26 +105,9 @@ class TraceRecorder
     }
 
     /**
-     * Tag subsequent spans with a frame id, process-wide: spans on
-     * every thread inherit it, which is correct while one frame is in
-     * flight at a time. The pipeline instead scopes each frame-graph
-     * stage with a ScopedTraceFrame, whose thread-local override
-     * takes precedence over this global.
-     */
-    void setFrame(std::int64_t frame)
-    {
-        frame_.store(frame, std::memory_order_relaxed);
-    }
-
-    std::int64_t currentFrame() const
-    {
-        return frame_.load(std::memory_order_relaxed);
-    }
-
-    /**
      * The frame id unresolved spans on this thread will be tagged
      * with: the thread-local ScopedTraceFrame override when one is
-     * active, this recorder's currentFrame() otherwise.
+     * active, -1 (no frame) otherwise.
      */
     std::int64_t resolveFrame() const;
 
@@ -132,8 +115,8 @@ class TraceRecorder
     double nowUs() const;
 
     /**
-     * Append one completed span. @p frame of INT64_MIN means "use the
-     * recorder's current frame".
+     * Append one completed span. @p frame of INT64_MIN means "use
+     * resolveFrame()".
      */
     void record(std::string name, const char* category, double startUs,
                 double durUs, std::int64_t frame = INT64_MIN);
@@ -175,7 +158,6 @@ class TraceRecorder
     std::atomic<bool> enabled_{false};
     std::atomic<bool> nnLayers_{false};
     std::atomic<bool> perfSpans_{false};
-    std::atomic<std::int64_t> frame_{-1};
     /**
      * Distinguishes this recorder from a destroyed one that occupied
      * the same address, so the thread-local buffer cache in
@@ -201,12 +183,12 @@ tracer()
  *
  * At depth 2 or more the frame-graph executor runs stages of
  * different frames on the same worker pool concurrently, so a single
- * global "current frame" cannot tag spans correctly. The executor
+ * global "current frame" cannot tag spans correctly. The pipeline
  * wraps each stage task in a ScopedTraceFrame; every span the task
- * records
- * (including nested NN-layer spans on the same thread) resolves its
- * frame id from this override instead of the global, restoring the
- * previous override on destruction so nested scopes compose.
+ * records (including nested NN-layer spans on the same thread)
+ * resolves its frame id from this override, restoring the previous
+ * override on destruction so nested scopes compose. Outside any scope
+ * spans carry frame -1.
  *
  * Spans started on one thread and finished on another are not
  * supported (TraceSpan is not movable), so resolving at record time

@@ -418,7 +418,6 @@ TEST(FrameGraphExecutorTest, SpansCarryPerFrameIdsAcrossThreads)
     auto& rec = obs::tracer();
     rec.clear();
     rec.setEnabled(true);
-    rec.setFrame(-1);
 
     FrameGraph g;
     g.addStage("A", {}, [&](std::int64_t) {

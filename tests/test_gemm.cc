@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/random.hh"
 #include "nn/gemm.hh"
+#include "nn/isa.hh"
 #include "nn/kernel_context.hh"
 
 namespace {
@@ -21,7 +23,9 @@ using ad::nn::gemm;
 using ad::nn::gemmBlockedReference;
 using ad::nn::gemmNaive;
 using ad::nn::gemv;
+using ad::nn::int8KernelIsaTiers;
 using ad::nn::kernelContext;
+using ad::nn::setInt8KernelIsa;
 
 std::vector<float>
 randomMatrix(std::size_t n, Rng& rng)
@@ -154,6 +158,36 @@ TEST_P(GemmDeterminismTest, PackedBitwiseEqualsSeedKernel)
     gemmBlockedReference(m, n, k, a.data(), b.data(), seed.data());
     for (std::size_t i = 0; i < seed.size(); ++i)
         ASSERT_EQ(seed[i], packed[i]) << "bitwise divergence at " << i;
+}
+
+/**
+ * Every ISA tier the host runs (pinned through the test hook that pins
+ * fp32 and int8 together) matches the seed kernel bit for bit at 1 and
+ * 3 threads: the tiers differ only in vector width and tile size, never
+ * in the per-element operations or their order.
+ */
+TEST_P(GemmDeterminismTest, EveryTierBitwiseEqualsSeedKernel)
+{
+    const auto [m, n, k] = GetParam();
+    Rng rng(static_cast<std::uint64_t>(m * 37 + n * 5 + k));
+    const auto a = randomMatrix(static_cast<std::size_t>(m) * k, rng);
+    const auto b = randomMatrix(static_cast<std::size_t>(k) * n, rng);
+    const auto c0 = randomMatrix(static_cast<std::size_t>(m) * n, rng);
+    std::vector<float> seed = c0;
+    gemmBlockedReference(m, n, k, a.data(), b.data(), seed.data());
+    for (const std::string& tier : int8KernelIsaTiers()) {
+        ASSERT_TRUE(setInt8KernelIsa(tier)) << tier;
+        for (const int threads : {1, 3}) {
+            std::vector<float> got = c0;
+            gemm(m, n, k, a.data(), b.data(), got.data(),
+                 kernelContext(threads));
+            for (std::size_t i = 0; i < seed.size(); ++i)
+                ASSERT_EQ(seed[i], got[i])
+                    << "tier " << tier << " threads " << threads
+                    << " at " << i;
+        }
+    }
+    ASSERT_TRUE(setInt8KernelIsa(""));
 }
 
 INSTANTIATE_TEST_SUITE_P(

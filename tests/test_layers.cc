@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the layer zoo: convolution against a direct reference,
+ * Tests for the layer zoo: convolution against a direct reference and,
+ * bit for bit on every ISA tier, against an order-exact oracle;
  * pooling, activations, fully connected layers, shape propagation and
  * the FLOP/byte profiles the accelerator models rely on.
  */
@@ -8,9 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.hh"
+#include "nn/isa.hh"
 #include "nn/layers.hh"
+#include "nn/models.hh"
 
 namespace {
 
@@ -137,6 +144,188 @@ TEST(FullyConnected, ParallelForwardBitwiseEqualsSerial)
     for (std::size_t i = 0; i < serial.size(); ++i)
         ASSERT_EQ(serial.data()[i], parallel.data()[i]) << "at " << i;
 }
+
+/**
+ * The order-exact oracle: each output starts at +0.0f and adds w * x
+ * for every tap in ascending (c, ky, kx) order, a padding tap as
+ * w * 0.0f; then a zero bias is skipped and the fused leaky select
+ * applied. This is the summation the implicit-GEMM convolution
+ * promises, so the comparison is bitwise. (This file is compiled with
+ * -ffp-contract=off, so the oracle itself rounds each multiply and
+ * add.)
+ */
+Tensor
+convExactReference(const Conv2D& conv, const Tensor& in)
+{
+    const Shape os =
+        conv.outputShape({in.channels(), in.height(), in.width()});
+    Tensor out(os.c, os.h, os.w);
+    const int k = conv.kernel();
+    for (int oc = 0; oc < os.c; ++oc) {
+        const float b = conv.bias()[static_cast<std::size_t>(oc)];
+        for (int oy = 0; oy < os.h; ++oy) {
+            for (int ox = 0; ox < os.w; ++ox) {
+                float acc = 0.0f;
+                std::size_t wi = static_cast<std::size_t>(oc) *
+                                 in.channels() * k * k;
+                for (int ic = 0; ic < in.channels(); ++ic) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        for (int kx = 0; kx < k; ++kx, ++wi) {
+                            const int iy =
+                                oy * conv.stride() - conv.pad() + ky;
+                            const int ix =
+                                ox * conv.stride() - conv.pad() + kx;
+                            const bool inside = iy >= 0 &&
+                                                iy < in.height() &&
+                                                ix >= 0 && ix < in.width();
+                            const float x =
+                                inside ? in.at(ic, iy, ix) : 0.0f;
+                            acc += conv.weights()[wi] * x;
+                        }
+                    }
+                }
+                float v = acc;
+                if (b != 0.0f)
+                    v += b;
+                if (conv.hasFusedActivation())
+                    v = v > 0.0f ? v : conv.fusedSlope() * v;
+                out.at(oc, oy, ox) = v;
+            }
+        }
+    }
+    return out;
+}
+
+struct ExactCase
+{
+    std::string name;
+    int inC, outC, k, stride, pad, h, w;
+    bool infinities; ///< put +-inf into the input too.
+};
+
+void
+PrintTo(const ExactCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+/**
+ * DET's 15 conv shapes at 160/0.25, TRA's 11x11/s4 stem at both crop
+ * sizes, and the geometries that stress the tile edges.
+ */
+std::vector<ExactCase>
+exactCases()
+{
+    std::vector<ExactCase> cases;
+    const Network det = buildNetwork(detectorSpec(160, 0.25, 4));
+    Shape s{1, 160, 160};
+    for (std::size_t i = 0; i < det.layerCount(); ++i) {
+        const Layer& layer = det.layer(i);
+        if (const auto* conv = dynamic_cast<const Conv2D*>(&layer))
+            cases.push_back({"det_" + conv->name(), s.c,
+                             conv->outChannels(), conv->kernel(),
+                             conv->stride(), conv->pad(), s.h, s.w,
+                             false});
+        s = layer.outputShape(s);
+    }
+    const std::vector<ExactCase> edges = {
+        {"tra_stem_crop32", 1, 10, 11, 4, 0, 32, 32, false},
+        {"tra_stem_crop63", 1, 24, 11, 4, 0, 63, 63, false},
+        {"k5_s1_p2", 4, 6, 5, 1, 2, 19, 23, false},
+        {"k3_s2_p1", 3, 8, 3, 2, 1, 17, 16, false},
+        {"k1_s1_p0", 5, 12, 1, 1, 0, 9, 11, false},
+        {"k288_in_place", 32, 16, 3, 1, 1, 6, 21, false},
+        {"k300_pointwise", 300, 5, 1, 1, 0, 4, 9, false},
+        {"m9_n1", 16, 9, 1, 1, 0, 1, 1, false},
+        {"m9_n25", 16, 9, 3, 1, 1, 5, 5, false},
+        {"one_pixel_wide", 2, 5, 3, 1, 1, 7, 1, false},
+        {"inf_in_place", 3, 7, 3, 1, 1, 9, 19, true},
+        {"inf_packed", 3, 7, 3, 2, 1, 9, 13, true},
+        {"inf_pointwise", 4, 6, 1, 1, 0, 6, 7, true},
+    };
+    cases.insert(cases.end(), edges.begin(), edges.end());
+    return cases;
+}
+
+class ImplicitGemmConvTest : public ::testing::TestWithParam<ExactCase>
+{
+};
+
+/**
+ * Bitwise equality with the order-exact oracle for every ISA tier the
+ * host runs (pinned through the test hook), at 1 and 3 threads, with
+ * and without the fused activation. Weights, biases and inputs hold
+ * exact zeros of both signs; inputs also hold subnormals, and some
+ * cases +-inf, so a reordered sum, a skipped padding product or a
+ * fused multiply-add shows as a differing bit.
+ */
+TEST_P(ImplicitGemmConvTest, BitwiseEqualsOrderedSumOnEveryTier)
+{
+    const ExactCase p = GetParam();
+    Rng rng(static_cast<std::uint64_t>(p.inC * 131 + p.outC * 17 + p.k +
+                                       p.h * 7 + p.w));
+    Conv2D plain("c", p.inC, p.outC, p.k, p.stride, p.pad);
+    Conv2D fused("c", p.inC, p.outC, p.k, p.stride, p.pad);
+    fused.fuseActivation(0.1f);
+    for (std::size_t i = 0; i < plain.weights().size(); ++i) {
+        float w = static_cast<float>(rng.uniform(-1.0, 1.0));
+        if (i % 13 == 0)
+            w = 0.0f;
+        else if (i % 17 == 0)
+            w = -0.0f;
+        plain.weights()[i] = w;
+        fused.weights()[i] = w;
+    }
+    for (std::size_t i = 0; i < plain.bias().size(); ++i) {
+        float b = static_cast<float>(rng.uniform(-0.5, 0.5));
+        if (i % 3 == 0)
+            b = i % 2 == 0 ? 0.0f : -0.0f;
+        plain.bias()[i] = b;
+        fused.bias()[i] = b;
+    }
+    Tensor in = randomTensor(p.inC, p.h, p.w, rng);
+    float* x = in.data();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        if (i % 7 == 3)
+            x[i] = -0.0f;
+        else if (i % 11 == 5)
+            x[i] = i % 2 == 0 ? 1.0e-40f : -3.0e-41f;
+        else if (p.infinities && i % 23 == 9)
+            x[i] = i % 2 == 0 ? std::numeric_limits<float>::infinity()
+                              : -std::numeric_limits<float>::infinity();
+    }
+
+    const Tensor refPlain = convExactReference(plain, in);
+    const Tensor refFused = convExactReference(fused, in);
+    for (const std::string& tier : int8KernelIsaTiers()) {
+        ASSERT_TRUE(setInt8KernelIsa(tier)) << tier;
+        for (const int threads : {1, 3}) {
+            const KernelContext ctx = kernelContext(threads);
+            for (const Conv2D* conv : {&plain, &fused}) {
+                const Tensor& ref =
+                    conv == &plain ? refPlain : refFused;
+                const Tensor got = conv->forward(in, ctx);
+                ASSERT_EQ(got.size(), ref.size());
+                EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                      ref.size() * sizeof(float)),
+                          0)
+                    << p.name << " tier " << tier << " threads "
+                    << threads << (conv == &plain ? " unfused" : " fused");
+            }
+        }
+    }
+    ASSERT_TRUE(setInt8KernelIsa(""));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ImplicitGemmConvTest, ::testing::ValuesIn(exactCases()),
+    [](const ::testing::TestParamInfo<ExactCase>& info) {
+        std::string name = info.param.name;
+        for (char& ch : name)
+            if (ch == '+' || ch == '-')
+                ch = '_';
+        return name;
+    });
 
 TEST(Conv2D, OutputShapeArithmetic)
 {

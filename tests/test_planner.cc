@@ -4,8 +4,7 @@
  * planner: planArena liveness-overlap properties, chain reuse,
  * fused-vs-unfused bitwise equality for the DET and TRA networks
  * (fp32 and int8, across thread counts), forwardArena-vs-forward
- * equality, the zero-allocation steady state, and direct-convolution
- * exactness.
+ * equality and the zero-allocation steady state.
  */
 
 #include <gtest/gtest.h>
@@ -263,52 +262,6 @@ TEST(Planner, StructuralEditDropsPlan)
     net.removeLayer(net.layerCount() - 1);
     EXPECT_FALSE(net.planned());
     EXPECT_EQ(net.arenaBytes(), 0u);
-}
-
-// --- Direct convolution ------------------------------------------------
-
-TEST(DirectConv, MatchesIm2colBitwise)
-{
-    // A 1x1/stride-1/pad-0 conv marked direct feeds its input planes
-    // to GEMM without the unfold. Negative weights and biases exercise
-    // the leaky branch and the signed-zero-sensitive epilogue.
-    const int inC = 3;
-    const int outC = 8;
-    const int size = 7;
-    Rng rng(31);
-    for (const bool fused : {false, true}) {
-        Network ref("ref");
-        Network dir("dir");
-        auto& rconv = ref.add<Conv2D>("conv", inC, outC, 1, 1, 0);
-        auto& dconv = dir.add<Conv2D>("conv", inC, outC, 1, 1, 0);
-        for (std::size_t i = 0; i < rconv.weights().size(); ++i) {
-            const float w = static_cast<float>(rng.uniform(-1.0, 1.0));
-            rconv.weights()[i] = w;
-            dconv.weights()[i] = w;
-        }
-        for (std::size_t i = 0; i < rconv.bias().size(); ++i) {
-            const float b = static_cast<float>(rng.uniform(-0.5, 0.5));
-            rconv.bias()[i] = b;
-            dconv.bias()[i] = b;
-        }
-        if (fused) {
-            ref.add<Activation>("act", 0.1f);
-            dir.add<Activation>("act", 0.1f);
-            EXPECT_EQ(lowerNetwork(dir, {inC, size, size}).directConvs,
-                      1u);
-        } else {
-            dconv.setDirectConv(true);
-        }
-        Rng inRng(17);
-        Tensor input(inC, size, size);
-        for (std::size_t i = 0; i < input.size(); ++i)
-            input.data()[i] = static_cast<float>(inRng.uniform(-1.0, 1.0));
-        for (const int threads : {1, 0}) {
-            const KernelContext ctx = kernelContext(threads);
-            expectBitwiseEqual(dir.forward(input, ctx),
-                               ref.forward(input, ctx), "direct conv");
-        }
-    }
 }
 
 } // namespace

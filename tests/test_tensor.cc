@@ -51,7 +51,8 @@ TEST(Tensor, FromImageNormalizes)
     Image img(3, 2, 0);
     img.at(0, 0) = 255;
     img.at(2, 1) = 51;
-    const Tensor t = Tensor::fromImage(img);
+    Tensor t;
+    t.assignFromImage(img);
     EXPECT_EQ(t.channels(), 1);
     EXPECT_EQ(t.height(), 2);
     EXPECT_EQ(t.width(), 3);

@@ -28,6 +28,7 @@
 namespace {
 
 using namespace ad;
+using obs::ScopedTraceFrame;
 using obs::TraceRecorder;
 using obs::TraceSpan;
 
@@ -49,8 +50,8 @@ TEST(TraceRecorder, NestedSpansAndFrameIds)
 {
     TraceRecorder rec;
     rec.setEnabled(true);
-    rec.setFrame(7);
     {
+        ScopedTraceFrame frame(7);
         TraceSpan outer(rec, "outer", "test");
         {
             TraceSpan inner(rec, "inner", "test");
@@ -73,10 +74,10 @@ TEST(TraceRecorder, NestedSpansAndFrameIds)
     EXPECT_LE(outer.startUs, inner.startUs);
     EXPECT_GE(outer.startUs + outer.durUs,
               inner.startUs + inner.durUs);
-    // Both inherited the recorder's current frame.
+    // Both inherited the scoped frame.
     EXPECT_EQ(outer.frame, 7);
     EXPECT_EQ(inner.frame, 7);
-    // An explicit frame id overrides the current frame; the manual
+    // An explicit frame id overrides the scoped frame; the manual
     // event's far-future start also sorts it last in the snapshot.
     EXPECT_EQ(byName("tagged").frame, 99);
     EXPECT_EQ(events.back().name, "tagged");
@@ -126,13 +127,15 @@ TEST(TraceRecorder, ChromeTraceJsonParsesBack)
 {
     TraceRecorder rec;
     rec.setEnabled(true);
-    rec.setFrame(3);
     {
-        TraceSpan span(rec, "DET", "stage");
+        ScopedTraceFrame frame(3);
+        {
+            TraceSpan span(rec, "DET", "stage");
+        }
+        // Exercise the JSON string escaper with hostile span names.
+        rec.record("quote\"back\\slash", "test", 5.0, 1.5);
+        rec.record("newline\ntab\t", "test", 8.0, 0.5);
     }
-    // Exercise the JSON string escaper with hostile span names.
-    rec.record("quote\"back\\slash", "test", 5.0, 1.5);
-    rec.record("newline\ntab\t", "test", 8.0, 0.5);
 
     const std::string path = ::testing::TempDir() + "trace_test.json";
     ASSERT_TRUE(rec.writeChromeTrace(path));
