@@ -26,6 +26,7 @@ main(int argc, char** argv)
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
     const int frames = cfg.getInt("frames", 6);
+    cfg.warnUnreadKeys();
     bench::printHeader("Ablation", "LUT trigonometry in feature "
                        "extraction");
 

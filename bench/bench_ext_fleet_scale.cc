@@ -188,14 +188,13 @@ int
 main(int argc, char** argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys({"horizon-ms", "budget-ms", "seed",
-                         "fleet-json"});
     const double horizonMs = cfg.getDouble("horizon-ms", 8000.0);
     const double budgetMs = cfg.getDouble("budget-ms", 100.0);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cfg.getInt("seed", 29));
     const std::string jsonPath =
         cfg.getString("fleet-json", "BENCH_fleet.json");
+    cfg.warnUnreadKeys();
 
     bench::printHeader(
         "Fleet shard-scaling sweep (extension)",

@@ -169,14 +169,13 @@ int
 main(int argc, char** argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys({"horizon-ms", "budget-ms", "seed",
-                         "map-json"});
     const double horizonMs = cfg.getDouble("horizon-ms", 10000.0);
     const double budgetMs = cfg.getDouble("budget-ms", 1000.0);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cfg.getInt("seed", 31));
     const std::string jsonPath =
         cfg.getString("map-json", "BENCH_map.json");
+    cfg.warnUnreadKeys();
 
     bench::printHeader(
         "Map-service scaling sweep (extension)",

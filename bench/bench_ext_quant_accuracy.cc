@@ -671,13 +671,13 @@ int
 main(int argc, char** argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys({"quant-json", "seed", "serve-frames", "reps"});
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     const int serveFrames = cfg.getInt("serve-frames", 100);
     const int reps = cfg.getInt("reps", 5);
     const std::string jsonPath =
         cfg.getString("quant-json", "BENCH_quant.json");
+    cfg.warnUnreadKeys();
 
     bench::printHeader(
         "Quantized inference sweep (extension)",

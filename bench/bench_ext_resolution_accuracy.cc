@@ -27,6 +27,7 @@ main(int argc, char** argv)
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
     const int trials = cfg.getInt("trials", 8);
+    cfg.warnUnreadKeys();
     bench::printHeader("Extension",
                        "measured detection recall vs camera "
                        "resolution (real detector)");

@@ -277,14 +277,14 @@ int
 main(int argc, char** argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys(
-        {"frames", "budget-ms", "seed", "serve-json", "overhead-reps"});
     const int frames = cfg.getInt("frames", 1500);
     const double budgetMs = cfg.getDouble("budget-ms", 100.0);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cfg.getInt("seed", 29));
     const std::string jsonPath =
         cfg.getString("serve-json", "BENCH_serve.json");
+    const int overheadReps = cfg.getInt("overhead-reps", 5);
+    cfg.warnUnreadKeys();
 
     bench::printHeader(
         "Serving scale sweep (extension)",
@@ -370,8 +370,8 @@ main(int argc, char** argv)
 
     // ISSUE 7 acceptance: the flight recorder's ring pushes must
     // cost < 5 % of the serving run they instrument.
-    const FlightOverhead overhead = measureFlightOverhead(
-        budgetMs, seed, cfg.getInt("overhead-reps", 5));
+    const FlightOverhead overhead =
+        measureFlightOverhead(budgetMs, seed, overheadReps);
     std::printf("\nflight recorder overhead (measured engine): "
                 "%.3f ms on vs %.3f ms off (%.2f %%) %s\n",
                 overhead.onMs, overhead.offMs, overhead.pct,

@@ -28,13 +28,9 @@ main(int argc, char** argv)
     using namespace ad;
     using namespace ad::pipeline;
     const Config cfg = Config::fromArgs(argc, argv);
-    {
-        auto known = obs::knownConfigKeys();
-        known.push_back("threads");
-        cfg.warnUnknownKeys(known);
-    }
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
     const int threads = cfg.getInt("threads", 1);
+    cfg.warnUnreadKeys();
     bench::printHeader("Figure 11",
                        "end-to-end latency across configurations "
                        "(100 ms budget)");

@@ -35,15 +35,10 @@ main(int argc, char** argv)
     using accel::Component;
     using accel::Platform;
     const Config cfg = Config::fromArgs(argc, argv);
-    {
-        auto known = obs::knownConfigKeys();
-        known.push_back("threads");
-        known.push_back("int8");
-        cfg.warnUnknownKeys(known);
-    }
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
     const int threads = cfg.getInt("threads", 1);
     const bool int8 = cfg.getBool("int8", false);
+    cfg.warnUnreadKeys();
     bench::printHeader("Figure 6",
                        "per-component latency on the multicore CPU");
     if (threads > 1)

@@ -28,6 +28,7 @@ main(int argc, char** argv)
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
     const int frames = cfg.getInt("frames", 20);
+    cfg.warnUnreadKeys();
     bench::printHeader("Figure 7",
                        "cycle breakdown of DET / TRA / LOC (measured "
                        "on this host)");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -62,57 +63,64 @@ Config::set(const std::string& key, const std::string& value)
     values_[key] = value;
 }
 
+const std::string*
+Config::lookup(const std::string& key) const
+{
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+}
+
 bool
 Config::has(const std::string& key) const
 {
-    return values_.count(key) > 0;
+    return lookup(key) != nullptr;
 }
 
 std::string
 Config::getString(const std::string& key, const std::string& def) const
 {
-    const auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+    const std::string* v = lookup(key);
+    return v ? *v : def;
 }
 
 int
 Config::getInt(const std::string& key, int def) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string* s = lookup(key);
+    if (!s)
         return def;
     char* end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config key '", key, "': '", it->second, "' is not an int");
+    const long v = std::strtol(s->c_str(), &end, 10);
+    if (end == s->c_str() || *end != '\0')
+        fatal("config key '", key, "': '", *s, "' is not an int");
     return static_cast<int>(v);
 }
 
 double
 Config::getDouble(const std::string& key, double def) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string* s = lookup(key);
+    if (!s)
         return def;
     char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config key '", key, "': '", it->second,
-              "' is not a number");
+    const double v = std::strtod(s->c_str(), &end);
+    if (end == s->c_str() || *end != '\0')
+        fatal("config key '", key, "': '", *s, "' is not a number");
     return v;
 }
 
 int
-Config::warnUnknownKeys(const std::vector<std::string>& known) const
+Config::warnUnreadKeys() const
 {
-    int unknown = 0;
+    int unread = 0;
     for (const auto& [key, value] : values_) {
-        if (std::find(known.begin(), known.end(), key) != known.end())
+        if (read_.count(key))
             continue;
-        ++unknown;
+        ++unread;
         const std::string* best = nullptr;
         std::size_t bestDist = 0;
-        for (const auto& candidate : known) {
+        for (const auto& candidate : read_) {
             const std::size_t d = editDistance(key, candidate);
             if (!best || d < bestDist) {
                 best = &candidate;
@@ -125,16 +133,16 @@ Config::warnUnknownKeys(const std::vector<std::string>& known) const
         else
             warn("unknown config key '--", key, "' (ignored)");
     }
-    return unknown;
+    return unread;
 }
 
 bool
 Config::getBool(const std::string& key, bool def) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string* s = lookup(key);
+    if (!s)
         return def;
-    const std::string& v = it->second;
+    const std::string& v = *s;
     if (v == "true" || v == "1" || v == "yes" || v == "on")
         return true;
     if (v == "false" || v == "0" || v == "no" || v == "off")

@@ -35,18 +35,6 @@ RebalanceParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-RebalanceParams::knownConfigKeys()
-{
-    return {"fleet.rebalance.enabled",
-            "fleet.rebalance.period-ms",
-            "fleet.rebalance.divergence",
-            "fleet.rebalance.min-burn",
-            "fleet.rebalance.max-moves",
-            "fleet.rebalance.shed-pressure",
-            "fleet.rebalance.max-escalations"};
-}
-
 FleetParams
 FleetParams::fromConfig(const Config& cfg)
 {
@@ -58,13 +46,6 @@ FleetParams::fromConfig(const Config& cfg)
     p.parallel = cfg.getBool("fleet.parallel", p.parallel);
     p.rebalance = RebalanceParams::fromConfig(cfg);
     return p;
-}
-
-std::vector<std::string>
-FleetParams::knownConfigKeys()
-{
-    return {"serve.shards", "fleet.admit.max-streams-per-shard",
-            "fleet.parallel"};
 }
 
 // --------------------------------------------------------------- registry

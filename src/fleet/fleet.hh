@@ -80,9 +80,6 @@ struct RebalanceParams
 
     /** Read every `fleet.rebalance.*` knob (defaults from *this). */
     static RebalanceParams fromConfig(const Config& cfg);
-
-    /** The `fleet.rebalance.*` key registry (docs/CONFIG.md gate). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** Fleet construction parameters. */
@@ -108,10 +105,6 @@ struct FleetParams
 
     /** Read `serve.shards`, `fleet.*` knobs (defaults from *this). */
     static FleetParams fromConfig(const Config& cfg);
-
-    /** Fleet-level key registry, excluding `fleet.rebalance.*` and
-        `fleet.loadgen.*` (those live with their own params). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** One logged stream migration. */

@@ -67,33 +67,6 @@ LoadGenParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-LoadGenParams::knownConfigKeys()
-{
-    return {"fleet.loadgen.streams",
-            "fleet.loadgen.period-ms",
-            "fleet.loadgen.horizon-ms",
-            "fleet.loadgen.frames",
-            "fleet.loadgen.stagger",
-            "fleet.loadgen.burst-p",
-            "fleet.loadgen.burst-len",
-            "fleet.loadgen.burst-period-ms",
-            "fleet.loadgen.ramp-amplitude",
-            "fleet.loadgen.ramp-period-ms",
-            "fleet.loadgen.straggler-fraction",
-            "fleet.loadgen.stall-p",
-            "fleet.loadgen.stall-ms",
-            "fleet.loadgen.hot-modulus",
-            "fleet.loadgen.hot-residue",
-            "fleet.loadgen.hot-factor",
-            "fleet.loadgen.hot-start-ms",
-            "fleet.loadgen.hot-end-ms",
-            "fleet.loadgen.criticality-classes",
-            "fleet.loadgen.speed-min-mps",
-            "fleet.loadgen.speed-max-mps",
-            "fleet.loadgen.seed"};
-}
-
 ScenarioLoadGen::ScenarioLoadGen(const LoadGenParams& params)
     : params_(params)
 {

@@ -90,9 +90,6 @@ struct LoadGenParams
 
     /** Read every `fleet.loadgen.*` knob (defaults from *this). */
     static LoadGenParams fromConfig(const Config& cfg);
-
-    /** The `fleet.loadgen.*` key registry (docs/CONFIG.md gate). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** One synthetic camera arrival. */

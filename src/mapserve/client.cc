@@ -18,13 +18,6 @@ MapClientParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-MapClientParams::knownConfigKeys()
-{
-    return {"mapserve.client.cache-tiles", "mapserve.client.prefetch",
-            "mapserve.client.horizon-ms"};
-}
-
 MapClient::MapClient(const MapClientParams& params)
     : params_(params), cache_(params.cacheTiles)
 {

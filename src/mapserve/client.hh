@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "common/lru_cache.hh"
 #include "mapserve/tile_codec.hh"
@@ -48,9 +46,6 @@ struct MapClientParams
 
     /** Read every `mapserve.client.*` knob (defaults from *this). */
     static MapClientParams fromConfig(const Config& cfg);
-
-    /** The `mapserve.client.*` key registry (docs/CONFIG.md gate). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** Per-vehicle client counters (summed into MapServeReport). */

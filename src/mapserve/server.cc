@@ -72,22 +72,6 @@ TileServerParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-TileServerParams::knownConfigKeys()
-{
-    return {"mapserve.server.queue-depth",
-            "mapserve.server.batch-max",
-            "mapserve.server.window-ms",
-            "mapserve.server.admission",
-            "mapserve.server.cache-tiles",
-            "mapserve.server.fixed-ms",
-            "mapserve.server.hit-ms",
-            "mapserve.server.miss-ms",
-            "mapserve.server.jitter-sigma",
-            "mapserve.server.merge-period-ms",
-            "mapserve.server.seed"};
-}
-
 TileServer::TileServer(const TileServerParams& params,
                        const WorldModel& world)
     : params_(params), world_(world), jitterRng_(params.seed),

@@ -74,9 +74,6 @@ struct TileServerParams
 
     /** Read every `mapserve.server.*` knob (defaults from *this). */
     static TileServerParams fromConfig(const Config& cfg);
-
-    /** The `mapserve.server.*` key registry (docs/CONFIG.md gate). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** One tile request as submitted by a vehicle. */

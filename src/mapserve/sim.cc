@@ -94,22 +94,6 @@ MapServeSimParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-MapServeSimParams::knownConfigKeys()
-{
-    return {"mapserve.world-tiles",
-            "mapserve.tile-size-m",
-            "mapserve.points-per-tile",
-            "mapserve.drift-bits",
-            "mapserve.world-seed",
-            "mapserve.drift-per-min",
-            "mapserve.update-threshold-bits",
-            "mapserve.updates",
-            "mapserve.warmup-ms",
-            "mapserve.decode-threads",
-            "mapserve.seed"};
-}
-
 std::string
 MapServeReport::toString() const
 {

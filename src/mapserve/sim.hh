@@ -95,9 +95,6 @@ struct MapServeSimParams
         nested world/server/client params are read by their own
         fromConfig. */
     static MapServeSimParams fromConfig(const Config& cfg);
-
-    /** Sim-scope key registry (docs/CONFIG.md gate). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** Aggregate outcome of one co-simulation run. */

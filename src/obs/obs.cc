@@ -73,26 +73,6 @@ setupFromConfig(const Config& cfg)
     return opt;
 }
 
-std::vector<std::string>
-knownConfigKeys()
-{
-    return {"trace",
-            "metrics",
-            "obs.trace",
-            "obs.trace_file",
-            "obs.trace_nn",
-            "obs.metrics",
-            "obs.budget_ms",
-            "obs.flight",
-            "obs.flight_file",
-            "obs.flight_capacity",
-            "obs.flight_max_dumps",
-            "flight-dump",
-            "obs.perf",
-            "metrics-json",
-            "obs.metrics_json_interval_ms"};
-}
-
 void
 finish(const ObsOptions& options, std::optional<double> snapshotAtMs)
 {

@@ -29,7 +29,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/deadline.hh"
 #include "obs/flight.hh"
@@ -77,12 +76,6 @@ struct ObsOptions
  * recorder and registry accordingly.
  */
 ObsOptions setupFromConfig(const Config& cfg);
-
-/**
- * Every config key setupFromConfig reads, for composing a tool's
- * known-key list (Config::warnUnknownKeys).
- */
-std::vector<std::string> knownConfigKeys();
 
 /**
  * End-of-run actions: write the Chrome trace (reporting the path and

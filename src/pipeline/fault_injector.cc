@@ -49,22 +49,6 @@ FaultInjectorParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-FaultInjectorParams::knownConfigKeys()
-{
-    return {"faults",
-            "fault.seed",
-            "fault.drop_p",
-            "fault.noise_p",
-            "fault.noise_sigma",
-            "fault.blackout_p",
-            "fault.spike_p",
-            "fault.spike_ms",
-            "fault.det_fail_p",
-            "fault.loc_fail_p",
-            "fault.tra_fail_p"};
-}
-
 bool
 FaultPlan::any() const
 {

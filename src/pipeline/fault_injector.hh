@@ -34,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/random.hh"
 #include "obs/deadline.hh"
@@ -71,9 +70,6 @@ struct FaultInjectorParams
 
     /** Read every `fault.*` config key (see docs/OPERATING_MODES.md). */
     static FaultInjectorParams fromConfig(const Config& cfg);
-
-    /** Every config key fromConfig reads (for warnUnknownKeys). */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** The faults chosen for one frame. */

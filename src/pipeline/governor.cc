@@ -52,40 +52,29 @@ GovernorParams::fromConfig(const Config& cfg, double defaultBudgetMs)
     GovernorParams p;
     p.enabled = cfg.getBool("governor", false);
     p.budgetMs = cfg.getDouble("gov.budget_ms", defaultBudgetMs);
-    p.escalateAfterMisses =
-        cfg.getInt("gov.escalate_misses", p.escalateAfterMisses);
-    p.recoverAfterFrames =
-        cfg.getInt("gov.recover_frames", p.recoverAfterFrames);
-    p.recoveryBackoff =
-        cfg.getDouble("gov.recovery_backoff", p.recoveryBackoff);
-    p.maxRecoverAfterFrames =
-        cfg.getInt("gov.max_recover_frames", p.maxRecoverAfterFrames);
-    p.backoffResetFactor =
-        cfg.getInt("gov.backoff_reset", p.backoffResetFactor);
-    p.degradedDetScale =
-        cfg.getDouble("gov.det_scale", p.degradedDetScale);
-    p.degradedDetInterval =
-        cfg.getInt("gov.det_interval", p.degradedDetInterval);
-    p.trackingOnlyDetInterval = cfg.getInt("gov.tracking_det_interval",
-                                           p.trackingOnlyDetInterval);
-    p.maxStaleFrames = cfg.getInt("gov.max_stale", p.maxStaleFrames);
+    p.readTuning(cfg);
     return p;
 }
 
-std::vector<std::string>
-GovernorParams::knownConfigKeys()
+void
+GovernorParams::readTuning(const Config& cfg)
 {
-    return {"governor",
-            "gov.budget_ms",
-            "gov.escalate_misses",
-            "gov.recover_frames",
-            "gov.recovery_backoff",
-            "gov.max_recover_frames",
-            "gov.backoff_reset",
-            "gov.det_scale",
-            "gov.det_interval",
-            "gov.tracking_det_interval",
-            "gov.max_stale"};
+    escalateAfterMisses =
+        cfg.getInt("gov.escalate_misses", escalateAfterMisses);
+    recoverAfterFrames =
+        cfg.getInt("gov.recover_frames", recoverAfterFrames);
+    recoveryBackoff =
+        cfg.getDouble("gov.recovery_backoff", recoveryBackoff);
+    maxRecoverAfterFrames =
+        cfg.getInt("gov.max_recover_frames", maxRecoverAfterFrames);
+    backoffResetFactor =
+        cfg.getInt("gov.backoff_reset", backoffResetFactor);
+    degradedDetScale = cfg.getDouble("gov.det_scale", degradedDetScale);
+    degradedDetInterval =
+        cfg.getInt("gov.det_interval", degradedDetInterval);
+    trackingOnlyDetInterval = cfg.getInt("gov.tracking_det_interval",
+                                         trackingOnlyDetInterval);
+    maxStaleFrames = cfg.getInt("gov.max_stale", maxStaleFrames);
 }
 
 DegradationGovernor::DegradationGovernor(const GovernorParams& params)

@@ -108,8 +108,13 @@ struct GovernorParams
     static GovernorParams fromConfig(const Config& cfg,
                                      double defaultBudgetMs = 100.0);
 
-    /** Every config key fromConfig reads (for warnUnknownKeys). */
-    static std::vector<std::string> knownConfigKeys();
+    /**
+     * Read the `gov.*` tuning keys over *this: every key but
+     * `--governor` and `gov.budget_ms`. The serving path reads only
+     * these, since its governors are always on with the stream
+     * deadline as their budget.
+     */
+    void readTuning(const Config& cfg);
 };
 
 /** The governor's actuation decisions for one frame. */

@@ -452,12 +452,9 @@ Pipeline::commitJob(FrameJob& job,
     // real stalls. Both consume the *composition* latency -- the
     // per-frame cost independent of pipelining -- so their decisions
     // are identical at every depth.
-    const obs::FrameLatencySample sample{
-        out.latencies.detMs, out.latencies.traMs, out.latencies.locMs,
-        out.latencies.fusionMs, out.latencies.motPlanMs};
-    deadline_.observe(frameId, sample);
+    deadline_.observe(frameId, out.latencies);
     if (governor_)
-        governor_->observe(frameId, sample);
+        governor_->observe(frameId, out.latencies);
 
     // Flight recorder: the frame's history on the pipeline's virtual
     // timeline (ms of simulated time), so a deterministic run yields

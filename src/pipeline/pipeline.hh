@@ -123,24 +123,6 @@ struct PipelineParams
     GovernorParams governor;
 };
 
-/** Wall-clock per-stage latencies of one frame (ms). */
-struct StageLatencies
-{
-    double detMs = 0;
-    double traMs = 0;
-    double locMs = 0;
-    double fusionMs = 0;
-    double motPlanMs = 0;
-
-    /** Parallel-branch composition (Figure 1). */
-    double
-    endToEndMs() const
-    {
-        const double perception = std::max(locMs, detMs + traMs);
-        return perception + fusionMs + motPlanMs;
-    }
-};
-
 /** Everything one frame produces. */
 struct FrameOutput
 {
@@ -150,7 +132,8 @@ struct FrameOutput
     fusion::FusedScene scene;
     planning::Trajectory trajectory;
     planning::ControlCommand command;
-    StageLatencies latencies;
+    /** Wall-clock per-stage latencies, as the watchdog sees them. */
+    obs::FrameLatencySample latencies;
     bool missionReplanned = false;
 
     /** Governor operating mode during this frame. */

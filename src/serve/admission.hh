@@ -27,8 +27,8 @@
  *    first to lose quality. Recovery rides the governor's own
  *    hysteresis and exponential backoff (no second mechanism).
  *
- * Slack comes from DeadlineMonitor-fed completion data: a
- * peak-decay tail estimate per stream (see StreamState). All
+ * Slack comes from completion data: a peak-decay tail estimate per
+ * stream, tightened by its SLO window's p99 (see StreamState). All
  * decisions are pure functions of explicit timestamps and observed
  * latencies -- no wall clock, fully deterministic.
  */

@@ -52,13 +52,6 @@ ModeledEngineParams::fromConfig(const Config& cfg)
     return p;
 }
 
-std::vector<std::string>
-ModeledEngineParams::knownConfigKeys()
-{
-    return {"engine.fixed-ms", "engine.marginal-ms", "engine.jitter",
-            "engine.spike-p"};
-}
-
 ServeParams
 ServeParams::fromConfig(const Config& cfg)
 {
@@ -80,10 +73,11 @@ ServeParams::fromConfig(const Config& cfg)
     p.admission.enabled = cfg.getBool("admission", p.admission.enabled);
     p.seed = static_cast<std::uint64_t>(
         cfg.getInt("seed", static_cast<int>(p.seed)));
-    p.governor =
-        pipeline::GovernorParams::fromConfig(cfg, p.stream.deadlineMs);
+    // `--governor` and `gov.budget_ms` stay unread, so passing them
+    // warns: the governors are always on, budget = deadline.
     p.governor.enabled = true;
     p.governor.budgetMs = p.stream.deadlineMs;
+    p.governor.readTuning(cfg);
     p.slo.windowFrames = cfg.getInt("slo.window", p.slo.windowFrames);
     requireKnob(p.slo.windowFrames >= 1, "slo.window", ">= 1",
                 p.slo.windowFrames);
@@ -93,18 +87,6 @@ ServeParams::fromConfig(const Config& cfg)
                 "slo.target-miss-rate", "in (0, 1]",
                 p.slo.targetMissRate);
     return p;
-}
-
-std::vector<std::string>
-ServeParams::knownConfigKeys()
-{
-    std::vector<std::string> keys = {
-        "deadline-ms", "queue-depth", "batch-max",
-        "window-ms",   "admission",   "seed",
-        "slo.window",  "slo.target-miss-rate"};
-    for (auto& k : pipeline::GovernorParams::knownConfigKeys())
-        keys.push_back(std::move(k));
-    return keys;
 }
 
 // ---------------------------------------------------------------- engines

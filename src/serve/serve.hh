@@ -94,9 +94,6 @@ struct ModeledEngineParams
     /** Read the `engine.*` knobs (defaults from *this); callers
         derive the seed from the serve seed. */
     static ModeledEngineParams fromConfig(const Config& cfg);
-
-    /** The `engine.*` key registry. */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /**
@@ -182,14 +179,13 @@ struct ServeParams
 
     /**
      * Read the knobs adserve and adfleet share (defaults from
-     * *this). The governors are the admission controller's
-     * actuators: always on, budget = deadline. Stream count, period
-     * and stagger are the caller's (adfleet's come from its tape).
+     * *this), the `gov.*` tuning keys included. The governors are
+     * the admission controller's actuators: always on, budget =
+     * deadline, so `--governor` and `gov.budget_ms` are not read.
+     * Stream count, period and stagger are the caller's (adfleet's
+     * come from its tape).
      */
     static ServeParams fromConfig(const Config& cfg);
-
-    /** The keys fromConfig reads, `gov.*` included. */
-    static std::vector<std::string> knownConfigKeys();
 };
 
 /** Aggregate outcome of one serving run. */

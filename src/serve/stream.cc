@@ -44,7 +44,6 @@ StreamState::StreamState(int id_, const StreamParams& params_,
                          const pipeline::GovernorParams& governorParams,
                          const SloParams& sloParams)
     : id(id_), params(params_), queue(params_.queueDepth),
-      deadline(obs::DeadlineParams{params_.deadlineMs, false, 0}),
       governor(governorParams), slo(sloParams, params_.deadlineMs)
 {
 }
@@ -58,12 +57,11 @@ StreamState::observeCompletion(std::int64_t frame, double latencyMs,
         servedLatency.record(latencyMs);
     slo.observe(latencyMs,
                 engineServed && latencyMs <= params.deadlineMs);
-    // The watchdog sees the whole serving latency on the DET axis:
+    // The governor sees the whole serving latency on the DET axis:
     // queueing + batching + inference is the detection branch of the
     // stream's frame, and endToEndMs() then equals latencyMs.
     obs::FrameLatencySample sample;
     sample.detMs = latencyMs;
-    deadline.observe(frame, sample);
     governor.observe(frame, sample);
 }
 

@@ -12,9 +12,9 @@
  * This header holds the per-stream state: a bounded ingestion queue
  * with a freshest-frame drop policy (a stale camera frame is worse
  * than no frame -- the vehicle would react to old traffic), the
- * per-stream DeadlineMonitor feeding admission-control slack, and the
- * per-stream DegradationGovernor the admission controller actuates
- * when the machine is oversubscribed.
+ * per-stream tail estimate and SLO window admission-control slack
+ * is measured against, and the per-stream DegradationGovernor the
+ * admission controller actuates when the machine is oversubscribed.
  *
  * Everything here runs on an explicit timestamp ("virtual clock"):
  * like the DegradationGovernor, the serving layer never reads the
@@ -128,8 +128,8 @@ struct StreamStats
 
 /**
  * Everything the serving layer knows about one stream: parameters,
- * ingestion queue, whether a frame is currently in flight, the
- * deadline watchdog whose data drives admission slack, and the
+ * ingestion queue, whether a frame is currently in flight, the tail
+ * estimate and SLO window that set its admission slack, and the
  * degradation governor the admission controller escalates under
  * load pressure.
  */
@@ -143,9 +143,8 @@ struct StreamState
     StreamParams params;
     FrameQueue queue;
     StreamStats stats;
-    /** Sensing half of the per-stream control loop. */
-    obs::DeadlineMonitor deadline;
-    /** Actuation half; admission control escalates it under pressure. */
+    /** Per-stream control loop; admission control escalates it under
+        pressure. */
     pipeline::DegradationGovernor governor;
 
     /** True while a frame of this stream is queued for or in service. */
@@ -166,7 +165,7 @@ struct StreamState
     StreamSlo slo;
 
     /**
-     * Record one completion into the tail estimate, watchdog and
+     * Record one completion into the tail estimate, SLO window and
      * governor. Coasted frames (engineServed = false) feed the
      * control loop -- the governor needs clean frames to recover --
      * but stay out of the engine-served latency record.

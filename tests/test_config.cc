@@ -2,14 +2,15 @@
  * @file
  * Tests for the key=value configuration store and its command-line
  * parser, which drive the bench harness parameter sweeps. Also the
- * knob-documentation gate: every registered config key must appear
- * in docs/CONFIG.md.
+ * knob-documentation gate: every key a config reader reads must
+ * appear in docs/CONFIG.md.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "common/config.hh"
@@ -91,76 +92,64 @@ TEST(Config, LastValueWins)
     EXPECT_EQ(cfg.getInt("n", 0), 2);
 }
 
-TEST(Config, WarnUnknownKeysSuggestsNearestKnownKey)
+TEST(Config, WarnUnreadKeysSuggestsNearestReadKey)
 {
-    const std::vector<std::string> known = {"faults", "fault.drop_p",
-                                            "obs.budget_ms",
-                                            "nn.threads"};
-    // All keys known: nothing to warn about.
-    Config clean;
-    clean.set("faults", "0.1");
-    clean.set("nn.threads", "4");
-    EXPECT_EQ(clean.warnUnknownKeys(known), 0);
+    Config cfg;
+    cfg.set("faults", "0.1");
+    cfg.set("trace", "out.json");
+    cfg.set("fault.drop-p", "0.1");
+    cfg.set("zzzzzzzzzzzz", "1");
+    // A key is known once a reader asks for it, set or not; has()
+    // counts as a read.
+    EXPECT_DOUBLE_EQ(cfg.getDouble("faults", 0.0), 0.1);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("fault.drop_p", 0.0), 0.0);
+    EXPECT_TRUE(cfg.has("trace"));
+    EXPECT_EQ(cfg.readKeys(),
+              (std::set<std::string>{"fault.drop_p", "faults", "trace"}));
 
-    // A near-miss spelling counts as one unknown key (and the warning
-    // it prints suggests the intended key; the count is what the API
-    // contract exposes).
-    Config typo;
-    typo.set("fault.drop-p", "0.1");
-    EXPECT_EQ(typo.warnUnknownKeys(known), 1);
-
-    // Completely alien keys still count, with no plausible suggestion.
-    Config alien;
-    alien.set("zzzzzzzzzzzz", "1");
-    alien.set("faults", "0.2");
-    EXPECT_EQ(alien.warnUnknownKeys(known), 1);
+    // The typo of a read key gets the suggestion, an unrelated key is
+    // ignored, and the read keys draw no warning.
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(cfg.warnUnreadKeys(), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown config key '--fault.drop-p'; did you "
+                       "mean '--fault.drop_p'?"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("unknown config key '--zzzzzzzzzzzz' (ignored)"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("'--faults'"), std::string::npos) << err;
+    EXPECT_EQ(err.find("'--trace'"), std::string::npos) << err;
 }
 
 TEST(Config, EveryRegisteredKnobIsDocumented)
 {
-    // docs/CONFIG.md is the manual's knob reference. This gate makes
-    // it impossible to register a new key -- in a knownConfigKeys()
-    // registry or in a tool's knownKeys() list -- without adding a
-    // row there: every key below must appear verbatim (as `key`) in
-    // the document.
+    // docs/CONFIG.md is the manual's knob reference. A key is known
+    // because a reader reads it, so this gate runs every library
+    // reader on an empty Config and takes the keys they asked for,
+    // then adds the keys the tools read themselves: each must appear
+    // verbatim (as `key`) in the document.
     std::ifstream in(AD_SOURCE_DIR "/docs/CONFIG.md");
     ASSERT_TRUE(in) << "docs/CONFIG.md missing";
     std::stringstream buf;
     buf << in.rdbuf();
     const std::string doc = buf.str();
 
-    std::vector<std::string> keys;
-    for (const auto& k : ad::obs::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k :
-         ad::pipeline::FaultInjectorParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k :
-         ad::pipeline::GovernorParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : ad::fleet::FleetParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : ad::fleet::RebalanceParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : ad::fleet::LoadGenParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k :
-         ad::mapserve::MapServeSimParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k :
-         ad::mapserve::TileServerParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k :
-         ad::mapserve::MapClientParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : ad::serve::ServeParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k :
-         ad::serve::ModeledEngineParams::knownConfigKeys())
-        keys.push_back(k);
-    // The tool-private lists, kept in sync by hand with the
-    // knownKeys() of tools/adrun.cc, tools/adserve.cc,
-    // tools/adfleet.cc and tools/admapserve.cc.
+    const Config empty;
+    (void)ad::obs::setupFromConfig(empty);
+    (void)ad::pipeline::FaultInjectorParams::fromConfig(empty);
+    (void)ad::pipeline::GovernorParams::fromConfig(empty);
+    (void)ad::serve::ServeParams::fromConfig(empty);
+    (void)ad::serve::ModeledEngineParams::fromConfig(empty);
+    (void)ad::fleet::FleetParams::fromConfig(empty);
+    (void)ad::fleet::LoadGenParams::fromConfig(empty);
+    (void)ad::mapserve::MapServeSimParams::fromConfig(empty);
+    std::vector<std::string> keys(empty.readKeys().begin(),
+                                  empty.readKeys().end());
+    // The tool-private keys, kept in sync by hand with the reads in
+    // tools/adrun.cc, tools/adserve.cc, tools/adfleet.cc and
+    // tools/admapserve.cc.
     for (const char* k :
          {"scenario", "frames", "resolution", "seed", "csv",
           "det-input", "det-width", "summary", "length", "nn.threads",

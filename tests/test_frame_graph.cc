@@ -186,10 +186,9 @@ processThreadCount()
 
 TEST(FrameGraphExecutorTest, DepthOneStartsNoWorkerThreads)
 {
-    // In a fresh process (threadsafe style re-executes the binary, so
-    // no earlier test has started the shared pool), a default depth-1
+    // In a fresh process (death tests re-execute the binary, so no
+    // earlier test has started the shared pool), a default depth-1
     // executor must not start the shared worker pool.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_EXIT(
         {
             const int before = processThreadCount();

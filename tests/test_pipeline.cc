@@ -135,7 +135,7 @@ TEST_F(PipelineIntegrationTest, DrivesScenarioEndToEnd)
 
 TEST_F(PipelineIntegrationTest, LatencyComposesParallelBranches)
 {
-    StageLatencies lat;
+    obs::FrameLatencySample lat;
     lat.detMs = 10;
     lat.traMs = 5;
     lat.locMs = 8;
@@ -403,10 +403,6 @@ TEST_F(PipelineIntegrationTest, AsyncEscalationMidOverlapDeterministic)
 
 TEST_F(PipelineIntegrationTest, RejectsDepthBelowOne)
 {
-    // fatal() exits through static destructors, which join the shared
-    // worker pool: a forked child of a process whose pool threads
-    // were started by earlier tests would hang, so re-execute instead.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     PipelineParams params = testParams();
     params.depth = 0;
     EXPECT_DEATH(Pipeline(map_, camera_, nullptr, params),

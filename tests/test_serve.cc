@@ -298,7 +298,6 @@ TEST(StreamState, TailEstimatePeaksAndDecays)
     // Coasted frames feed the control loop but not the served record.
     s.observeCompletion(2, 2.0, 0.9, false);
     EXPECT_EQ(s.servedLatency.count(), 2u);
-    EXPECT_EQ(s.deadline.framesObserved(), 3u);
 }
 
 ServeParams
@@ -426,9 +425,31 @@ TEST(ServeParams, FromConfigReadsTheSharedServeKnobs)
     EXPECT_EQ(ModeledEngineParams::fromConfig(cfg).fixedMs, 2.0);
     // Stream count, period and stagger stay the caller's: adfleet
     // takes them from its load generator and must not accept them.
-    const auto keys = ServeParams::knownConfigKeys();
     for (const char* own : {"streams", "period-ms", "stagger"})
-        EXPECT_EQ(std::count(keys.begin(), keys.end(), own), 0) << own;
+        EXPECT_EQ(cfg.readKeys().count(own), 0u) << own;
+}
+
+TEST(ServeParams, GovernorSwitchAndBudgetAreLeftUnread)
+{
+    // The serving governors are always on with the stream deadline as
+    // their budget, so `--governor` and `gov.budget_ms` are not
+    // serving knobs: fromConfig leaves them unread and the warning
+    // names them. The other `gov.*` keys tune every stream's governor.
+    Config cfg;
+    cfg.set("deadline-ms", "80");
+    cfg.set("governor", "0");
+    cfg.set("gov.budget_ms", "5");
+    cfg.set("gov.escalate_misses", "7");
+    const ServeParams sp = ServeParams::fromConfig(cfg);
+    EXPECT_TRUE(sp.governor.enabled);
+    EXPECT_EQ(sp.governor.budgetMs, 80.0);
+    EXPECT_EQ(sp.governor.escalateAfterMisses, 7);
+
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(cfg.warnUnreadKeys(), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("'--governor'"), std::string::npos) << err;
+    EXPECT_NE(err.find("'--gov.budget_ms'"), std::string::npos) << err;
 }
 
 /** One out-of-range value for one serving knob. */
@@ -451,10 +472,6 @@ class ServeKnobDeathTest : public ::testing::TestWithParam<BadKnob>
 
 TEST_P(ServeKnobDeathTest, FromConfigFailsNamingTheKnob)
 {
-    // fatal() exits through static destructors, which join the shared
-    // worker pool: re-execute rather than fork (see
-    // PipelineIntegrationTest.RejectsDepthBelowOne).
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     const BadKnob& bad = GetParam();
     Config cfg;
     cfg.set(bad.key, bad.value);

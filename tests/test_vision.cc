@@ -363,8 +363,6 @@ TEST(Fast, ExtremeImagesAndThresholds)
 
 TEST(Fast, RejectsParametersOutsideTheirRange)
 {
-    // Re-execute rather than fork, as the other death tests do.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     const Image img(32, 32, 100);
     FastParams params;
     params.threshold = 256;

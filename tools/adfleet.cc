@@ -39,39 +39,14 @@
 #include "obs/json.hh"
 #include "obs/obs.hh"
 
-namespace {
-
-using namespace ad;
-
-std::vector<std::string>
-knownKeys()
-{
-    std::vector<std::string> keys = {"fleet-json", "summary"};
-    for (auto* registry : {&serve::ServeParams::knownConfigKeys,
-                           &serve::ModeledEngineParams::knownConfigKeys,
-                           &fleet::FleetParams::knownConfigKeys,
-                           &fleet::RebalanceParams::knownConfigKeys,
-                           &fleet::LoadGenParams::knownConfigKeys,
-                           &obs::knownConfigKeys})
-        for (auto& k : registry())
-            keys.push_back(std::move(k));
-    return keys;
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys(knownKeys());
-
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
 
     const fleet::LoadGenParams lp = fleet::LoadGenParams::fromConfig(cfg);
-    const fleet::ScenarioLoadGen load(lp);
-
     fleet::FleetParams fp = fleet::FleetParams::fromConfig(cfg);
     fp.serve = serve::ServeParams::fromConfig(cfg);
     // The serve template's camera period is the loadgen's: frame
@@ -79,14 +54,17 @@ main(int argc, char** argv)
     fp.serve.stream.framePeriodMs = lp.periodMs;
     fp.engine = serve::ModeledEngineParams::fromConfig(cfg);
     fp.engine.seed = fp.serve.seed * 2654435761u + 1;
+    const bool summary = cfg.getBool("summary", false);
+    const std::string jsonPath = cfg.getString("fleet-json");
+    cfg.warnUnreadKeys();
 
+    const fleet::ScenarioLoadGen load(lp);
     fleet::ShardedServer server(fp, load);
     const fleet::FleetReport report = server.run();
 
-    if (cfg.getBool("summary", false) || obsOpt.any())
+    if (summary || obsOpt.any())
         std::fprintf(stderr, "%s", report.toString().c_str());
 
-    const std::string jsonPath = cfg.getString("fleet-json");
     if (!jsonPath.empty()) {
         std::ofstream out(jsonPath);
         if (!(out << obs::json::dump(report.toJson())))

@@ -28,9 +28,8 @@ namespace {
 using namespace ad;
 
 slam::PriorMap
-loadMap(const Config& cfg)
+loadMap(const std::string& path)
 {
-    const std::string path = cfg.getString("map");
     if (path.empty())
         fatal("--map=<file> is required");
     std::ifstream is(path, std::ios::binary);
@@ -49,6 +48,8 @@ cmdBuild(const Config& cfg)
     sensors::ScenarioParams sp;
     sp.roadLength = cfg.getDouble("length", 600.0);
     const std::string name = cfg.getString("scenario", "highway");
+    const int lane = cfg.getInt("lane", 1);
+    cfg.warnUnreadKeys();
     const sensors::Scenario scenario =
         name == "urban" ? sensors::makeUrbanScenario(rng, sp)
                         : sensors::makeHighwayScenario(rng, sp);
@@ -56,8 +57,8 @@ cmdBuild(const Config& cfg)
 
     std::printf("surveying %s scenario (%.0f m road)...\n",
                 name.c_str(), sp.roadLength);
-    const slam::PriorMap map = slam::buildPriorMap(
-        scenario.world, camera, cfg.getInt("lane", 1));
+    const slam::PriorMap map =
+        slam::buildPriorMap(scenario.world, camera, lane);
 
     std::ofstream os(out, std::ios::binary);
     if (!os)
@@ -71,7 +72,9 @@ cmdBuild(const Config& cfg)
 int
 cmdInfo(const Config& cfg)
 {
-    const slam::PriorMap map = loadMap(cfg);
+    const std::string path = cfg.getString("map");
+    cfg.warnUnreadKeys();
+    const slam::PriorMap map = loadMap(path);
     int elevated = 0;
     double minX = 1e18;
     double maxX = -1e18;
@@ -105,12 +108,14 @@ cmdInfo(const Config& cfg)
 int
 cmdTile(const Config& cfg)
 {
-    const slam::PriorMap map = loadMap(cfg);
+    const std::string path = cfg.getString("map");
     const std::string dir = cfg.getString("dir");
     if (dir.empty())
         fatal("--dir=<directory> is required");
     slam::TiledStoreParams params;
     params.tileSize = cfg.getDouble("tile-size", 50.0);
+    cfg.warnUnreadKeys();
+    const slam::PriorMap map = loadMap(path);
     slam::TiledMapStore store(dir, params);
     store.build(map);
     std::printf("sharded %zu points into %llu tiles (%.1f KB on disk) "
@@ -124,10 +129,12 @@ cmdTile(const Config& cfg)
 int
 cmdQuery(const Config& cfg)
 {
-    const slam::PriorMap map = loadMap(cfg);
+    const std::string path = cfg.getString("map");
     const double x = cfg.getDouble("x", 0);
     const double y = cfg.getDouble("y", 0);
     const double radius = cfg.getDouble("radius", 30.0);
+    cfg.warnUnreadKeys();
+    const slam::PriorMap map = loadMap(path);
     const auto hits = map.queryRadius({x, y}, radius);
     std::printf("%zu map points within %.1f m of (%.1f, %.1f)\n",
                 hits.size(), radius, x, y);

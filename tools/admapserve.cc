@@ -37,49 +37,28 @@
 #include "obs/json.hh"
 #include "obs/obs.hh"
 
-namespace {
-
-using namespace ad;
-
-std::vector<std::string>
-knownKeys()
-{
-    std::vector<std::string> keys = {"map-json", "summary"};
-    for (auto* registry : {&mapserve::MapServeSimParams::knownConfigKeys,
-                           &mapserve::TileServerParams::knownConfigKeys,
-                           &mapserve::MapClientParams::knownConfigKeys,
-                           &fleet::LoadGenParams::knownConfigKeys,
-                           &obs::knownConfigKeys})
-        for (auto& k : registry())
-            keys.push_back(std::move(k));
-    return keys;
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys(knownKeys());
-
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
 
     const fleet::LoadGenParams lp =
         fleet::LoadGenParams::fromConfig(cfg);
-    const fleet::ScenarioLoadGen load(lp);
-
     const mapserve::MapServeSimParams sp =
         mapserve::MapServeSimParams::fromConfig(cfg);
+    const bool summary = cfg.getBool("summary", false);
+    const std::string jsonPath = cfg.getString("map-json");
+    cfg.warnUnreadKeys();
 
+    const fleet::ScenarioLoadGen load(lp);
     mapserve::MapServeSim sim(sp, load);
     const mapserve::MapServeReport report = sim.run();
 
-    if (cfg.getBool("summary", false) || obsOpt.any())
+    if (summary || obsOpt.any())
         std::fprintf(stderr, "%s", report.toString().c_str());
 
-    const std::string jsonPath = cfg.getString("map-json");
     if (!jsonPath.empty()) {
         std::ofstream out(jsonPath);
         if (!(out << obs::json::dump(report.toJson())))

@@ -87,23 +87,6 @@ parseResolution(const std::string& name)
     fatal("unknown --resolution '", name, "'");
 }
 
-/** Every key adrun itself reads, plus the obs/fault/governor sets. */
-std::vector<std::string>
-knownKeys()
-{
-    std::vector<std::string> keys = {
-        "scenario", "frames",    "resolution", "seed",      "csv",
-        "det-input", "det-width", "summary",    "length",
-        "nn.threads", "nn.precision", "pipeline.depth", "pipeline.seed"};
-    for (const auto& k : obs::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : pipeline::FaultInjectorParams::knownConfigKeys())
-        keys.push_back(k);
-    for (const auto& k : pipeline::GovernorParams::knownConfigKeys())
-        keys.push_back(k);
-    return keys;
-}
-
 } // namespace
 
 int
@@ -111,7 +94,6 @@ main(int argc, char** argv)
 {
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys(knownKeys());
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
     const int frames = cfg.getInt("frames", 100);
     Rng rng(cfg.getInt("seed", 1));
@@ -119,23 +101,14 @@ main(int argc, char** argv)
     sensors::ScenarioParams sp;
     sp.roadLength = cfg.getDouble("length", 300.0);
     const std::string name = cfg.getString("scenario", "highway");
-    sensors::Scenario scenario =
-        name == "urban" ? sensors::makeUrbanScenario(rng, sp)
-                        : sensors::makeHighwayScenario(rng, sp);
-    sensors::Camera camera(
-        parseResolution(cfg.getString("resolution", "HHD")));
-
-    std::fprintf(stderr, "surveying prior map...\n");
-    const slam::PriorMap map =
-        slam::buildPriorMap(scenario.world, camera, 1);
+    const sensors::Resolution resolution =
+        parseResolution(cfg.getString("resolution", "HHD"));
 
     pipeline::PipelineParams params;
     params.detector.inputSize = cfg.getInt("det-input", 160);
     params.detector.width = cfg.getDouble("det-width", 0.25);
     params.trackerPool.tracker.cropSize = 32;
     params.trackerPool.tracker.width = 0.1;
-    params.laneCenterY = scenario.world.road().laneCenter(1);
-    params.motionPlanner.cruiseSpeed = scenario.ego.speed;
     // 0 = hardware concurrency (PipelineParams uses 0 as "no
     // override", so resolve the knob before handing it down).
     params.nnThreads =
@@ -150,6 +123,21 @@ main(int argc, char** argv)
     params.faults = pipeline::FaultInjectorParams::fromConfig(cfg);
     params.governor =
         pipeline::GovernorParams::fromConfig(cfg, obsOpt.budgetMs);
+    const std::string csvPath = cfg.getString("csv");
+    const bool summary = cfg.getBool("summary", false);
+    cfg.warnUnreadKeys();
+
+    sensors::Scenario scenario =
+        name == "urban" ? sensors::makeUrbanScenario(rng, sp)
+                        : sensors::makeHighwayScenario(rng, sp);
+    sensors::Camera camera(resolution);
+
+    std::fprintf(stderr, "surveying prior map...\n");
+    const slam::PriorMap map =
+        slam::buildPriorMap(scenario.world, camera, 1);
+
+    params.laneCenterY = scenario.world.road().laneCenter(1);
+    params.motionPlanner.cruiseSpeed = scenario.ego.speed;
     pipeline::Pipeline pipe(&map, &camera, nullptr, params);
 
     Pose2 ego = scenario.ego.pose;
@@ -158,13 +146,12 @@ main(int argc, char** argv)
 
     std::ofstream csvFile;
     std::ostream* csv = nullptr;
-    const std::string csvPath = cfg.getString("csv");
     if (!csvPath.empty()) {
         csvFile.open(csvPath);
         if (!csvFile)
             fatal("cannot write '", csvPath, "'");
         csv = &csvFile;
-    } else if (!cfg.getBool("summary", false)) {
+    } else if (!summary) {
         csv = &std::cout;
     }
     if (csv)

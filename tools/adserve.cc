@@ -61,34 +61,11 @@
 #include "obs/obs.hh"
 #include "serve/serve.hh"
 
-namespace {
-
-using namespace ad;
-
-std::vector<std::string>
-knownKeys()
-{
-    std::vector<std::string> keys = {
-        "streams",    "frames",       "period-ms", "stagger",
-        "measured",   "det-input",    "det-width", "nn.threads",
-        "nn.precision", "serve-json", "summary"};
-    for (auto* registry : {&serve::ServeParams::knownConfigKeys,
-                           &serve::ModeledEngineParams::knownConfigKeys,
-                           &obs::knownConfigKeys})
-        for (auto& k : registry())
-            keys.push_back(std::move(k));
-    return keys;
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
     using namespace ad;
     const Config cfg = Config::fromArgs(argc, argv);
-    cfg.warnUnknownKeys(knownKeys());
-
     const obs::ObsOptions obsOpt = obs::setupFromConfig(cfg);
     const std::int64_t frames = cfg.getInt("frames", 200);
 
@@ -98,16 +75,29 @@ main(int argc, char** argv)
         cfg.getDouble("period-ms", sp.stream.framePeriodMs);
     sp.stagger = cfg.getBool("stagger", sp.stagger);
 
+    // Both engines' knobs are read whichever engine runs, so the keys
+    // adserve accepts do not depend on --measured.
+    const bool measured = cfg.getBool("measured", false);
+    serve::ModeledEngineParams ep =
+        serve::ModeledEngineParams::fromConfig(cfg);
+    ep.seed = sp.seed * 2654435761u + 1;
+    const int inputSize = cfg.getInt("det-input", 64);
+    const double width = cfg.getDouble("det-width", 0.05);
+    const nn::Precision precision =
+        nn::parsePrecision(cfg.getString("nn.precision", "fp32"));
+    const int threads =
+        nn::resolveKernelThreads(cfg.getInt("nn.threads", 0));
+    const bool summary = cfg.getBool("summary", false);
+    const std::string jsonPath = cfg.getString("serve-json");
+    cfg.warnUnreadKeys();
+
     serve::ServeReport report;
-    if (cfg.getBool("measured", false)) {
-        const int inputSize = cfg.getInt("det-input", 64);
-        const double width = cfg.getDouble("det-width", 0.05);
+    if (measured) {
         nn::Network net = nn::buildNetwork(
             nn::detectorSpec(inputSize, width));
         Rng weightRng(7);
         nn::initDetectorWeights(net, weightRng);
-        if (nn::parsePrecision(cfg.getString("nn.precision", "fp32")) ==
-            nn::Precision::Int8) {
+        if (precision == nn::Precision::Int8) {
             // Seeded calibration at the same input distribution the
             // engine will serve (uniform [0, 1] frames).
             std::vector<nn::Tensor> samples;
@@ -135,26 +125,20 @@ main(int argc, char** argv)
                     static_cast<float>(inputRng.uniform(0.0, 1.0));
             inputs.push_back(std::move(t));
         }
-        serve::NnBatchEngine engine(
-            net, std::move(inputs),
-            nn::resolveKernelThreads(cfg.getInt("nn.threads", 0)));
+        serve::NnBatchEngine engine(net, std::move(inputs), threads);
         serve::MultiStreamServer server(sp, engine);
         report = server.run(frames);
         std::fprintf(stderr, "output checksum: %a\n",
                      engine.outputChecksum());
     } else {
-        serve::ModeledEngineParams ep =
-            serve::ModeledEngineParams::fromConfig(cfg);
-        ep.seed = sp.seed * 2654435761u + 1;
         serve::ModeledBatchEngine engine(ep);
         serve::MultiStreamServer server(sp, engine);
         report = server.run(frames);
     }
 
-    if (cfg.getBool("summary", false) || obsOpt.any())
+    if (summary || obsOpt.any())
         std::fprintf(stderr, "%s", report.toString().c_str());
 
-    const std::string jsonPath = cfg.getString("serve-json");
     if (!jsonPath.empty()) {
         std::ofstream out(jsonPath);
         if (!(out << obs::json::dump(report.toJson())))
