@@ -112,10 +112,10 @@ runGemmSweep(int reps)
         v = static_cast<float>(rng.uniform(-1, 1));
     for (auto& v : b)
         v = static_cast<float>(rng.uniform(-1, 1));
-    std::vector<std::int16_t> qa(n * n);
+    std::vector<std::int8_t> qa(n * n);
     std::vector<std::int8_t> qb(n * n);
     for (auto& v : qa)
-        v = static_cast<std::int16_t>(rng.uniformInt(-127, 127));
+        v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
     for (auto& v : qb)
         v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
     std::vector<std::int32_t> qc(n * n);
@@ -301,10 +301,10 @@ runDeterminism(const sensors::Frame& frame)
 {
     constexpr std::size_t n = 512;
     Rng rng(3);
-    std::vector<std::int16_t> qa(n * n);
+    std::vector<std::int8_t> qa(n * n);
     std::vector<std::int8_t> qb(n * n);
     for (auto& v : qa)
-        v = static_cast<std::int16_t>(rng.uniformInt(-127, 127));
+        v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
     for (auto& v : qb)
         v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
 
@@ -385,7 +385,6 @@ runTraComparison(sensors::Camera& camera)
 struct FusionResults
 {
     std::size_t layersFused = 0;   ///< activations folded (fp32 DET).
-    std::size_t directConvs = 0;   ///< int8 convs lowered to direct.
     double detUnfusedMs = 0;       ///< fp32 forward, reference path.
     double detFusedMs = 0;         ///< fp32 forwardArena, lowered.
     double detInt8UnfusedMs = 0;
@@ -435,10 +434,6 @@ runFusionComparison(int reps)
         const nn::LoweringReport report =
             nn::lowerNetwork(fused, {1, inputSize, inputSize});
         fused.plan({1, inputSize, inputSize});
-        // Only int8 convs take a direct mark; the fp32 implicit GEMM
-        // reads 1x1 inputs in place without one.
-        if (precision == nn::Precision::Int8)
-            res.directConvs = report.directConvs;
         if (precision == nn::Precision::Fp32) {
             res.layersFused = report.fusedActivations;
             res.detArenaBytes = static_cast<std::size_t>(
@@ -501,14 +496,14 @@ runFusionComparison(int reps)
         }
     }
     std::printf("[fusion] det@%d: fp32 %.2f -> %.2f ms (%.2fx), int8 "
-                "%.2f -> %.2f ms (%.2fx); %zu fused, %zu direct, "
+                "%.2f -> %.2f ms (%.2fx); %zu fused, "
                 "arena %zu B / %zu values, alloc/frame %.1f, bitwise "
                 "%s\n",
                 inputSize, res.detUnfusedMs, res.detFusedMs,
                 res.detUnfusedMs / res.detFusedMs,
                 res.detInt8UnfusedMs, res.detInt8FusedMs,
                 res.detInt8UnfusedMs / res.detInt8FusedMs,
-                res.layersFused, res.directConvs, res.detArenaBytes,
+                res.layersFused, res.detArenaBytes,
                 res.detArenaValues, res.allocEventsPerFrame,
                 res.bitwiseIdentical ? "identical" : "DIVERGED");
     return res;
@@ -619,8 +614,7 @@ writeJson(const char* path, const GemmResults& gemm,
         tra.fp32DnnMs / tra.int8DnnMs);
     std::fprintf(
         f,
-        "  \"fusion\": {\"det_input\": 160, \"layers_fused\": %zu, "
-        "\"direct_convs\": %zu,\n"
+        "  \"fusion\": {\"det_input\": 160, \"layers_fused\": %zu,\n"
         "    \"det_unfused_ms\": %.3f, \"det_fused_ms\": %.3f, "
         "\"det_speedup\": %.3f,\n"
         "    \"det_int8_unfused_ms\": %.3f, \"det_int8_fused_ms\": "
@@ -629,7 +623,7 @@ writeJson(const char* path, const GemmResults& gemm,
         "    \"arena\": {\"det_arena_bytes\": %zu, "
         "\"det_arena_values\": %zu, \"alloc_events_per_frame\": "
         "%.1f}},\n",
-        fusion.layersFused, fusion.directConvs, fusion.detUnfusedMs,
+        fusion.layersFused, fusion.detUnfusedMs,
         fusion.detFusedMs, fusion.detUnfusedMs / fusion.detFusedMs,
         fusion.detInt8UnfusedMs, fusion.detInt8FusedMs,
         fusion.detInt8UnfusedMs / fusion.detInt8FusedMs,

@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot kernels underneath
  * the pipeline engines: GEMM and convolution (the DNN engine; the
- * BM_DetConv/<layer> set times DET's 15 convolutions), oFAST
+ * BM_DetConv/<layer> and BM_DetConvInt8/<layer> sets time DET's 15
+ * convolutions in fp32 and int8), oFAST
  * detection, pyramid resize, box smoothing and rBRIEF description
  * (feature extraction), Hamming distance and descriptor matching, NMS,
  * and the two motion planners. These quantify where measured-mode
@@ -26,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.hh"
 #include "common/time.hh"
@@ -124,15 +126,15 @@ BENCHMARK(BM_GemmParallel)
 void
 BM_GemmInt8(benchmark::State& state)
 {
-    // The quantized kernel at the fp32-packed shapes: A pre-widened
-    // to int16 (the layer does this once for static weights), B int8.
+    // The quantized kernel at the fp32-packed shapes (A packed into
+    // s8 quads and B into panels on every call, as the test path does).
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     Rng rng(1);
-    std::vector<std::int16_t> a(n * n);
+    std::vector<std::int8_t> a(n * n);
     std::vector<std::int8_t> b(n * n);
     std::vector<std::int32_t> c(n * n, 0);
     for (auto& v : a)
-        v = static_cast<std::int16_t>(rng.uniformInt(-127, 127));
+        v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
     for (auto& v : b)
         v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
     for (auto _ : state) {
@@ -483,11 +485,11 @@ runGemmScalingSweep(const char* path)
         v = static_cast<float>(rng.uniform(-1, 1));
     for (auto& v : b)
         v = static_cast<float>(rng.uniform(-1, 1));
-    std::vector<std::int16_t> qa(n * n);
+    std::vector<std::int8_t> qa(n * n);
     std::vector<std::int8_t> qb(n * n);
     std::vector<std::int32_t> qc(n * n);
     for (auto& v : qa)
-        v = static_cast<std::int16_t>(rng.uniformInt(-127, 127));
+        v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
     for (auto& v : qb)
         v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
 
@@ -578,12 +580,15 @@ runGemmScalingSweep(const char* path)
 /**
  * DET's 15 convolutions at their real shapes: detectorSpec(160, 0.25)
  * lowered as the engine runs it (activations fused), one benchmark per
- * layer named BM_DetConv/<layer> and labelled with the ISA tier. Items
- * are FLOPs, so items_per_second reads as FLOP/s. No pass/fail bar:
- * the per-layer times feed the kernel ledger.
+ * layer named <prefix>/<layer> and labelled with the ISA tier. The
+ * int8 set (BM_DetConvInt8) is quantized first with perfbench's
+ * serve_det_int8 calibration: DET seed 1, two uniform [0, 1] inputs
+ * drawn from Rng(1 ^ 0xAD0C0DE5). Items are FLOPs, so
+ * items_per_second reads as FLOP/s. No pass/fail bar: the per-layer
+ * times feed the kernel ledger.
  */
 void
-registerDetConvBenchmarks()
+registerDetConvBenchmarks(const std::string& prefix, bool int8)
 {
     const int inputSize = 160;
     auto net = std::make_shared<nn::Network>(nn::buildNetwork(
@@ -591,6 +596,17 @@ registerDetConvBenchmarks()
     Rng rng(1);
     nn::initDetectorWeights(*net, rng);
     nn::Shape shape{1, inputSize, inputSize};
+    if (int8) {
+        Rng calRng(1 ^ 0xAD0C0DE5ULL);
+        std::vector<nn::Tensor> calibration;
+        for (int s = 0; s < 2; ++s) {
+            nn::Tensor t(1, inputSize, inputSize);
+            for (std::size_t i = 0; i < t.size(); ++i)
+                t.data()[i] = static_cast<float>(calRng.uniform());
+            calibration.push_back(std::move(t));
+        }
+        nn::quantizeNetwork(*net, calibration);
+    }
     nn::lowerNetwork(*net, shape);
     for (std::size_t i = 0; i < net->layerCount(); ++i) {
         const nn::Layer* layer = &net->layer(i);
@@ -598,7 +614,7 @@ registerDetConvBenchmarks()
         shape = layer->outputShape(in);
         if (layer->kind() != nn::LayerKind::Conv)
             continue;
-        const std::string name = "BM_DetConv/" + layer->name();
+        const std::string name = prefix + "/" + layer->name();
         benchmark::RegisterBenchmark(
             name.c_str(), [net, layer, in](benchmark::State& state) {
                 const nn::Shape out = layer->outputShape(in);
@@ -643,7 +659,8 @@ main(int argc, char** argv)
     // The JSON sweep runs first so the scaling artifact is produced
     // even when --benchmark_filter excludes the GEMM benches.
     runGemmScalingSweep(gemmJsonPath.c_str());
-    registerDetConvBenchmarks();
+    registerDetConvBenchmarks("BM_DetConv", false);
+    registerDetConvBenchmarks("BM_DetConvInt8", true);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

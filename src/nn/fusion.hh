@@ -1,12 +1,11 @@
 /**
  * @file
  * Graph-lowering pass for the inference engine: walk a built (and
- * possibly quantized) Network and (a) fuse each conv/FC + following
+ * possibly quantized) Network and fuse each conv/FC + following
  * ReLU/LeakyReLU pair into a single layer whose GEMM epilogue applies
- * the activation before the output store, and (b) mark the int8
- * 1x1/stride-1/pad-0 convolutions, whose im2col unfold is a pure
- * copy, to feed the int8 GEMM directly. The fp32 conv needs no mark:
- * its implicit GEMM never unfolds (nn/gemm.hh).
+ * the activation before the output store. Neither precision's conv
+ * needs more: both run as implicit GEMMs that never unfold their
+ * input (nn/gemm.hh, nn/gemm_int8.hh).
  *
  * BatchNorm is already folded into conv weights at model build
  * (foldBatchNorm, layers.hh), so Conv2D+BN+LeakyReLU chains arrive
@@ -35,7 +34,6 @@ namespace ad::nn {
 struct LoweringReport
 {
     std::size_t fusedActivations = 0;
-    std::size_t directConvs = 0; ///< int8 convs marked direct.
 };
 
 /**

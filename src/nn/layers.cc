@@ -5,6 +5,12 @@
 
 #include "common/logging.hh"
 #include "nn/gemm.hh"
+#include "nn/isa.hh"
+
+#if defined(__x86_64__) || defined(__amd64__)
+#define AD_NN_POOL_X86 1
+#include <immintrin.h>
+#endif
 
 namespace ad::nn {
 
@@ -26,6 +32,147 @@ int
 convOutDim(int in, int kernel, int stride, int pad)
 {
     return (in + 2 * pad - kernel) / stride + 1;
+}
+
+/**
+ * One output row of a 2x2/s2 max pool from input rows r0 and r1, as
+ * many columns as whole vectors cover (a wide tier runs its tail in
+ * narrower vectors); returns that count, and the scalar loop finishes
+ * the row. Each window folds its taps in the
+ * scalar loop's (ky, kx) order from -inf as best = maxps(tap, best):
+ * maxps returns its second operand when either is NaN or the two are
+ * equal, so it keeps `best` on NaN and on +-0 ties, exactly as
+ * std::max(best, tap) does.
+ */
+using PoolRowFn = std::size_t (*)(const float* r0, const float* r1,
+                                  float* dst, std::size_t ow);
+
+#if AD_NN_POOL_X86
+
+// The loops of each width are always inlined into the tier's entry
+// point, so a wider tier runs its tail in its own (VEX) encoding: a
+// call from AVX code into SSE-encoded code would run the latter with
+// the upper register halves dirty, at a large penalty per instruction.
+
+[[gnu::always_inline]] inline std::size_t
+poolRow4(const float* r0, const float* r1, float* dst, std::size_t ox,
+         std::size_t ow)
+{
+    const __m128 lowest = _mm_set1_ps(-INFINITY);
+    for (; ox + 4 <= ow; ox += 4) {
+        const __m128 a0 = _mm_loadu_ps(r0 + 2 * ox);
+        const __m128 a1 = _mm_loadu_ps(r0 + 2 * ox + 4);
+        const __m128 b0 = _mm_loadu_ps(r1 + 2 * ox);
+        const __m128 b1 = _mm_loadu_ps(r1 + 2 * ox + 4);
+        __m128 best = _mm_max_ps(
+            _mm_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0)), lowest);
+        best = _mm_max_ps(_mm_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1)),
+                          best);
+        best = _mm_max_ps(_mm_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0)),
+                          best);
+        best = _mm_max_ps(_mm_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1)),
+                          best);
+        _mm_storeu_ps(dst + ox, best);
+    }
+    return ox;
+}
+
+// The in-lane shuffles leave columns in the order 0 1 4 5 2 3 6 7; the
+// max is lane-wise, so one permute of the result restores the order.
+__attribute__((target("avx2"), always_inline)) inline std::size_t
+poolRow8(const float* r0, const float* r1, float* dst, std::size_t ox,
+         std::size_t ow)
+{
+    const __m256 lowest = _mm256_set1_ps(-INFINITY);
+    for (; ox + 8 <= ow; ox += 8) {
+        const __m256 a0 = _mm256_loadu_ps(r0 + 2 * ox);
+        const __m256 a1 = _mm256_loadu_ps(r0 + 2 * ox + 8);
+        const __m256 b0 = _mm256_loadu_ps(r1 + 2 * ox);
+        const __m256 b1 = _mm256_loadu_ps(r1 + 2 * ox + 8);
+        __m256 best = _mm256_max_ps(
+            _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0)), lowest);
+        best = _mm256_max_ps(
+            _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+        best = _mm256_max_ps(
+            _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0)), best);
+        best = _mm256_max_ps(
+            _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+        best = _mm256_castpd_ps(_mm256_permute4x64_pd(
+            _mm256_castps_pd(best), _MM_SHUFFLE(3, 1, 2, 0)));
+        _mm256_storeu_ps(dst + ox, best);
+    }
+    return ox;
+}
+
+// _mm512_max_ps passes _mm512_undefined_ps() as its merge source,
+// which trips a false-positive -Wmaybe-uninitialized in GCC 12's own
+// header; silence it for this function.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+__attribute__((target("avx512f"), always_inline)) inline std::size_t
+poolRow16(const float* r0, const float* r1, float* dst, std::size_t ox,
+          std::size_t ow)
+{
+    const __m512 lowest = _mm512_set1_ps(-INFINITY);
+    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16,
+                                           18, 20, 22, 24, 26, 28, 30);
+    const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+    for (; ox + 16 <= ow; ox += 16) {
+        const __m512 a0 = _mm512_loadu_ps(r0 + 2 * ox);
+        const __m512 a1 = _mm512_loadu_ps(r0 + 2 * ox + 16);
+        const __m512 b0 = _mm512_loadu_ps(r1 + 2 * ox);
+        const __m512 b1 = _mm512_loadu_ps(r1 + 2 * ox + 16);
+        __m512 best =
+            _mm512_max_ps(_mm512_permutex2var_ps(a0, even, a1), lowest);
+        best = _mm512_max_ps(_mm512_permutex2var_ps(a0, odd, a1), best);
+        best = _mm512_max_ps(_mm512_permutex2var_ps(b0, even, b1), best);
+        best = _mm512_max_ps(_mm512_permutex2var_ps(b0, odd, b1), best);
+        _mm512_storeu_ps(dst + ox, best);
+    }
+    return ox;
+}
+
+#pragma GCC diagnostic pop
+
+std::size_t
+poolRowSse2(const float* r0, const float* r1, float* dst, std::size_t ow)
+{
+    return poolRow4(r0, r1, dst, 0, ow);
+}
+
+__attribute__((target("avx2"))) std::size_t
+poolRowAvx2(const float* r0, const float* r1, float* dst, std::size_t ow)
+{
+    return poolRow4(r0, r1, dst, poolRow8(r0, r1, dst, 0, ow), ow);
+}
+
+__attribute__((target("avx512f"))) std::size_t
+poolRowAvx512(const float* r0, const float* r1, float* dst,
+              std::size_t ow)
+{
+    const std::size_t ox =
+        poolRow8(r0, r1, dst, poolRow16(r0, r1, dst, 0, ow), ow);
+    return poolRow4(r0, r1, dst, ox, ow);
+}
+
+#endif // AD_NN_POOL_X86
+
+/** The tier's 2x2/s2 row kernel; null for the scalar tier. */
+PoolRowFn
+poolRow2x2For(IsaTier tier)
+{
+#if AD_NN_POOL_X86
+    switch (tier) {
+      case IsaTier::Scalar: return nullptr;
+      case IsaTier::Sse2: return poolRowSse2;
+      case IsaTier::Avx2: return poolRowAvx2;
+      case IsaTier::Avx512Vnni: return poolRowAvx512;
+    }
+#endif
+    (void)tier;
+    return nullptr;
 }
 
 /**
@@ -175,21 +322,34 @@ MaxPool::forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch&, const KernelContext&) const
 {
     const Shape os = outputShape(inShape);
+    // 2x2/s2 (every pool in DET and TRA) takes the tier's vector rows;
+    // the scalar loop below finishes each row and runs other windows.
+    const PoolRowFn vectorRow = kernel_ == 2 && stride_ == 2
+                                    ? poolRow2x2For(kernelIsaTier())
+                                    : nullptr;
     for (int c = 0; c < os.c; ++c) {
         const float* src =
             in + static_cast<std::size_t>(c) * inShape.h * inShape.w;
         float* dst = out + static_cast<std::size_t>(c) * os.h * os.w;
         for (int oy = 0; oy < os.h; ++oy) {
-            for (int ox = 0; ox < os.w; ++ox) {
+            const float* top = src +
+                static_cast<std::size_t>(oy * stride_) * inShape.w;
+            float* dstRow = dst + static_cast<std::size_t>(oy) * os.w;
+            int ox = 0;
+            if (vectorRow)
+                ox = static_cast<int>(vectorRow(
+                    top, top + inShape.w, dstRow,
+                    static_cast<std::size_t>(os.w)));
+            for (; ox < os.w; ++ox) {
                 float best = -INFINITY;
                 for (int ky = 0; ky < kernel_; ++ky) {
-                    const float* row = src +
-                        static_cast<std::size_t>(oy * stride_ + ky) *
-                        inShape.w + ox * stride_;
+                    const float* row = top +
+                        static_cast<std::size_t>(ky) * inShape.w +
+                        ox * stride_;
                     for (int kx = 0; kx < kernel_; ++kx)
                         best = std::max(best, row[kx]);
                 }
-                dst[static_cast<std::size_t>(oy) * os.w + ox] = best;
+                dstRow[ox] = best;
             }
         }
     }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "nn/gemm.hh"
+#include "nn/gemm_int8.hh"
 #include "nn/kernel_context.hh"
 #include "nn/tensor.hh"
 
@@ -79,11 +80,10 @@ struct Shape
  */
 struct ForwardScratch
 {
-    ConvScratch conv;               ///< fp32 conv: padded input or panels.
-    std::vector<std::int8_t> qin;   ///< quantized input tensor.
-    std::vector<std::int8_t> qcols; ///< int8 im2col matrix.
-    std::vector<std::int16_t> qx;   ///< pre-widened FC activation.
-    std::vector<std::int32_t> acc;  ///< int32 GEMM/GEMV accumulators.
+    ConvScratch conv;              ///< fp32 conv: padded input or panels.
+    Int8ConvScratch qconv;         ///< int8 conv: quantized input, panels.
+    std::vector<std::int16_t> qx;  ///< pre-widened FC activation.
+    std::vector<std::int32_t> acc; ///< int32 GEMV accumulators.
 };
 
 /**

@@ -12,61 +12,29 @@ namespace {
 
 constexpr int kQmax = 127;
 
+/**
+ * round(clamp(y, -127, 127)), half away from zero. Clamping first keeps
+ * lround in range: it overflows long for y >= 2^63 and +inf (glibc then
+ * returns LONG_MIN, which would land on -127). NaN fails the compare
+ * and gives -127.
+ */
+long
+roundClamped(float y)
+{
+    constexpr auto lim = static_cast<float>(kQmax);
+    if (!(y >= -lim))
+        return -kQmax;
+    return std::lround(std::min(y, lim));
+}
+
 /** clamp(round(x / scale)) into int8 range, stored as T. */
 template <typename T>
 void
 quantizeTo(const float* x, std::size_t n, float scale, T* q)
 {
     const float inv = 1.0f / scale;
-    for (std::size_t i = 0; i < n; ++i) {
-        const long v = std::lround(x[i] * inv);
-        q[i] = static_cast<T>(
-            std::clamp<long>(v, -kQmax, kQmax));
-    }
-}
-
-/**
- * int8 twin of the fp32 im2col in layers.cc: unfold kernel-sized
- * patches of a quantized CHW input into an (inC * k * k) x (outH *
- * outW) matrix. Rows are independent pure writes and shard across the
- * kernel context; padding contributes exact zeros.
- */
-void
-im2colInt8(const std::int8_t* in, int inC, int inH, int inW, int kernel,
-           int stride, int pad, int outH, int outW,
-           std::vector<std::int8_t>& cols, const KernelContext& ctx)
-{
-    const std::size_t rows =
-        static_cast<std::size_t>(inC) * kernel * kernel;
-    scratchAssign(cols, rows * outH * outW, std::int8_t{0});
-    std::int8_t* colsData = cols.data();
-    kernelParallelFor(ctx, 0, rows, 4, [&, colsData](std::size_t lo,
-                                                     std::size_t hi) {
-        for (std::size_t rowIdx = lo; rowIdx < hi; ++rowIdx) {
-            const int kx = static_cast<int>(rowIdx % kernel);
-            const int ky = static_cast<int>(rowIdx / kernel % kernel);
-            const int c = static_cast<int>(rowIdx / kernel / kernel);
-            const std::int8_t* plane =
-                in + static_cast<std::size_t>(c) * inH * inW;
-            std::int8_t* dst = colsData +
-                rowIdx * static_cast<std::size_t>(outH) * outW;
-            for (int oy = 0; oy < outH; ++oy) {
-                const int iy = oy * stride - pad + ky;
-                if (iy < 0 || iy >= inH) {
-                    dst += outW;
-                    continue;
-                }
-                const std::int8_t* srcRow = plane +
-                    static_cast<std::size_t>(iy) * inW;
-                for (int ox = 0; ox < outW; ++ox) {
-                    const int ix = ox * stride - pad + kx;
-                    *dst++ = (ix < 0 || ix >= inW)
-                                 ? static_cast<std::int8_t>(0)
-                                 : srcRow[ix];
-                }
-            }
-        }
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        q[i] = static_cast<T>(roundClamped(x[i] * inv));
 }
 
 /** absmax over a span (0 for empty). */
@@ -81,11 +49,12 @@ absMaxOf(const float* x, std::size_t n)
 
 /**
  * Quantize one weight row symmetrically: derive the per-channel scale
- * from the row's absmax and store the int8-range values pre-widened to
- * int16 (the form gemmInt8/gemvInt8 consume).
+ * from the row's absmax and store the int8-range values as T (int8 for
+ * the conv's packing, int16 pre-widened for gemvInt8).
  */
+template <typename T>
 float
-quantizeWeightRow(const float* w, std::size_t n, std::int16_t* q)
+quantizeWeightRow(const float* w, std::size_t n, T* q)
 {
     const float scale = quantizeScale(absMaxOf(w, n));
     quantizeTo(w, n, scale, q);
@@ -185,12 +154,9 @@ requantize(const std::int32_t* acc, std::size_t n, float accScale,
            float outScale, std::int8_t* q)
 {
     const float rescale = accScale / outScale;
-    for (std::size_t i = 0; i < n; ++i) {
-        const long v =
-            std::lround(static_cast<float>(acc[i]) * rescale);
+    for (std::size_t i = 0; i < n; ++i)
         q[i] = static_cast<std::int8_t>(
-            std::clamp<long>(v, -kQmax, kQmax));
-    }
+            roundClamped(static_cast<float>(acc[i]) * rescale));
 }
 
 QuantConv2D::QuantConv2D(const Conv2D& conv, float inputScale)
@@ -201,17 +167,19 @@ QuantConv2D::QuantConv2D(const Conv2D& conv, float inputScale)
 {
     if (inputScale <= 0.0f)
         fatal("QuantConv2D ", name(), ": input scale must be positive");
+    const auto outC = static_cast<std::size_t>(outChannels_);
     const std::size_t filterSize =
         static_cast<std::size_t>(inChannels_) * kernel_ * kernel_;
-    weights_.assign(static_cast<std::size_t>(outChannels_) * filterSize,
-                    0);
-    weightScale_.assign(static_cast<std::size_t>(outChannels_), 1.0f);
-    for (int oc = 0; oc < outChannels_; ++oc)
-        weightScale_[static_cast<std::size_t>(oc)] = quantizeWeightRow(
-            conv.weights().data() + static_cast<std::size_t>(oc) *
-                filterSize,
-            filterSize,
-            weights_.data() + static_cast<std::size_t>(oc) * filterSize);
+    std::vector<std::int8_t> q(outC * filterSize);
+    weightScale_.assign(outC, 1.0f);
+    scale_.assign(outC, 1.0f);
+    for (std::size_t oc = 0; oc < outC; ++oc) {
+        weightScale_[oc] = quantizeWeightRow(
+            conv.weights().data() + oc * filterSize, filterSize,
+            q.data() + oc * filterSize);
+        scale_[oc] = inputScale_ * weightScale_[oc];
+    }
+    weights_ = packInt8ConvWeights(q.data(), outC, inChannels_, kernel_);
 }
 
 Shape
@@ -234,55 +202,12 @@ QuantConv2D::forwardInto(const float* in, const Shape& inShape,
                          const KernelContext& ctx) const
 {
     const Shape os = outputShape(inShape);
-
-    // Quantize the activation at the calibrated per-tensor scale, then
-    // run the integer pipeline: int8 im2col -> int8 GEMM -> exact
-    // int32 accumulators. All buffers belong to the calling thread;
-    // workers only touch them through kernelParallelFor shards.
-    scratchResize(scratch.qin, inShape.elements());
-    quantizeTo(in, inShape.elements(), inputScale_, scratch.qin.data());
-
-    const auto m = static_cast<std::size_t>(outChannels_);
-    const std::size_t k =
-        static_cast<std::size_t>(inChannels_) * kernel_ * kernel_;
-    const auto n = static_cast<std::size_t>(os.h) *
-                   static_cast<std::size_t>(os.w);
-    const std::int8_t* cols;
-    if (direct_ && kernel_ == 1 && stride_ == 1 && pad_ == 0) {
-        // 1x1/s1/p0: the unfolded matrix equals the quantized input
-        // (inC x (h*w)); hand it to gemmInt8 as-is. Identical integer
-        // operands, bit-identical accumulators.
-        cols = scratch.qin.data();
-    } else {
-        im2colInt8(scratch.qin.data(), inShape.c, inShape.h, inShape.w,
-                   kernel_, stride_, pad_, os.h, os.w, scratch.qcols,
-                   ctx);
-        cols = scratch.qcols.data();
-    }
-    scratchAssign(scratch.acc, m * n, std::int32_t{0});
-    gemmInt8(m, n, k, weights_.data(), cols, scratch.acc.data(), ctx);
-
-    // Dequantize with the combined scale and add the fp32 bias (plus
-    // the fused activation when lowered); one multiply-add per output
-    // element, the whole cost of keeping the float-Tensor interface.
-    const float slope = fusedSlope_;
-    for (int oc = 0; oc < os.c; ++oc) {
-        const float scale =
-            inputScale_ * weightScale_[static_cast<std::size_t>(oc)];
-        const float b = bias_[static_cast<std::size_t>(oc)];
-        const std::int32_t* accRow =
-            scratch.acc.data() + static_cast<std::size_t>(oc) * n;
-        float* plane = out + static_cast<std::size_t>(oc) * n;
-        if (!fusedAct_) {
-            for (std::size_t i = 0; i < n; ++i)
-                plane[i] = static_cast<float>(accRow[i]) * scale + b;
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                const float v = static_cast<float>(accRow[i]) * scale + b;
-                plane[i] = v > 0.0f ? v : slope * v;
-            }
-        }
-    }
+    const ConvGeometry g{inShape.c, inShape.h, inShape.w, kernel_,
+                         stride_,   pad_,      os.h,      os.w};
+    const Int8ConvEpilogue ep{scale_.data(), bias_.data(), fusedAct_,
+                              fusedSlope_};
+    convImplicitGemmInt8(g, weights_, inputScale_, ep, in, out,
+                         scratch.qconv, ctx);
 }
 
 void
@@ -306,7 +231,9 @@ QuantConv2D::profile(const Shape& in) const
               out.h * out.w;
     if (fusedAct_)
         p.flops += out.elements();
-    p.weightBytes = weights_.size() * sizeof(std::int8_t) +
+    p.weightBytes = static_cast<std::size_t>(outChannels_) *
+                        inChannels_ * kernel_ * kernel_ *
+                        sizeof(std::int8_t) +
                     (weightScale_.size() + bias_.size()) * sizeof(float);
     p.inputBytes = in.bytes();
     p.outputBytes = out.bytes();

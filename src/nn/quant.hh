@@ -19,10 +19,14 @@
  * A quantized layer keeps the float-Tensor Layer interface: it
  * quantizes its input internally, accumulates in int32, and
  * dequantizes straight to fp32 with the combined scale
- * sIn * sW[channel], adding the fp32 bias. Interleaved pool/activation
+ * sIn * sW[channel], adding the fp32 bias. A conv does all three in
+ * one int8 implicit GEMM (the input pass quantizes, the register tile
+ * accumulates, its store dequantizes; gemm_int8.hh) with no int8
+ * copy of the unfolded input; an FC quantizes its input vector, runs
+ * gemvInt8 and dequantizes the sums. Interleaved pool/activation
  * layers therefore run unmodified, and a quantized network is
- * bitwise-deterministic at any thread count because the integer
- * accumulation is exact (see gemm_int8.hh).
+ * bitwise-deterministic at any thread count and ISA tier because the
+ * integer accumulation is exact.
  */
 
 #ifndef AD_NN_QUANT_HH
@@ -32,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/gemm_int8.hh"
 #include "nn/layers.hh"
 #include "nn/network.hh"
 
@@ -93,7 +98,12 @@ class AbsHistogram
  */
 float quantizeScale(float absMax);
 
-/** q = clamp(round(x / scale), -127, 127) elementwise. */
+/**
+ * q = clamp(round(x * (1 / scale)), -127, 127) elementwise, rounding
+ * half away from zero; the product is clamped before it is rounded, so
+ * +-inf and values beyond the int8 range saturate, and NaN gives -127.
+ * The reference the int8 convolution's SIMD input pass must equal.
+ */
 void quantize(const float* x, std::size_t n, float scale, std::int8_t* q);
 
 /** x' = q * scale elementwise. */
@@ -112,9 +122,12 @@ void requantize(const std::int32_t* acc, std::size_t n, float accScale,
 
 /**
  * Conv2D lowered to the int8 path: weights quantized per output
- * channel (stored pre-widened to int16 for the SIMD kernel), input
- * quantized per-tensor at the calibrated scale, int8 im2col, exact
- * int32 accumulation, dequantize + fp32 bias on the way out.
+ * channel and packed once into the int8 register tile's s8 quads
+ * (Int8ConvWeights, nn/gemm_int8.hh); each forward runs one int8
+ * implicit GEMM that quantizes the input at the calibrated per-tensor
+ * scale as it loads it, accumulates exact int32 sums, and stores
+ * float(sum) * (sIn * sW[oc]) + bias[oc] (plus the fused activation)
+ * straight into the output.
  */
 class QuantConv2D : public Layer
 {
@@ -144,25 +157,15 @@ class QuantConv2D : public Layer
     int pad() const { return pad_; }
 
     /**
-     * Fold a following ReLU/LeakyReLU into the dequantize epilogue
-     * (see Conv2D::fuseActivation). The dequant pass always computes
-     * `acc * scale + bias` -- fused or not -- so applying the
+     * Fold a following ReLU/LeakyReLU into the tile store (see
+     * Conv2D::fuseActivation). The store always computes
+     * `float(sum) * scale + bias` -- fused or not -- so applying the
      * activation right after that expression is bitwise-identical to a
      * separate Activation layer. Renames the layer "<name>+act".
      */
     void fuseActivation(float leakySlope);
     bool hasFusedActivation() const { return fusedAct_; }
     float fusedSlope() const { return fusedSlope_; }
-
-    /**
-     * Skip the int8 im2col for 1x1/stride-1/pad-0 geometry: the
-     * quantized input planes feed gemmInt8 directly (the unfold would
-     * be a pure copy), so the result is bitwise-identical to the
-     * unfolded path. Other geometries ignore the flag and keep the
-     * unfold. Set by the lowering pass (nn/fusion.hh).
-     */
-    void setDirectConv(bool on) { direct_ = on; }
-    bool directConv() const { return direct_; }
 
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
@@ -177,10 +180,10 @@ class QuantConv2D : public Layer
     float inputScale_;
     bool fusedAct_ = false;
     float fusedSlope_ = 0.0f;
-    bool direct_ = false;
-    std::vector<std::int16_t> weights_; ///< int8-range, pre-widened.
-    std::vector<float> weightScale_;    ///< per output channel.
-    std::vector<float> bias_;           ///< fp32, added after dequant.
+    Int8ConvWeights weights_;        ///< s8 quads + bias correction.
+    std::vector<float> weightScale_; ///< per output channel.
+    std::vector<float> scale_;       ///< sIn * sW[oc], the dequant scale.
+    std::vector<float> bias_;        ///< fp32, added after dequant.
 };
 
 /**

@@ -30,7 +30,6 @@ setupFromConfig(const Config& cfg)
     opt.traceNnLayers = cfg.getBool("obs.trace_nn", false);
     opt.metricsDump = cfg.getBool("metrics", false) ||
                       cfg.getBool("obs.metrics", false);
-    opt.budgetMs = cfg.getDouble("obs.budget_ms", 100.0);
 
     opt.flight = cfg.getBool("obs.flight", true);
     opt.flightFile = cfg.getString("obs.flight_file");

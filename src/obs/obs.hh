@@ -10,7 +10,6 @@
  *   --obs.trace_file  trace output path (default trace.json)
  *   --obs.trace_nn    also emit per-NN-layer spans (off by default)
  *   --obs.metrics     bool knob form of --metrics
- *   --obs.budget_ms   deadline watchdog budget (default 100)
  *   --obs.flight      flight recorder master switch (default on)
  *   --obs.flight_file      post-mortem dump path (default flight.json)
  *   --obs.flight_capacity  events retained per stream (default 1024)
@@ -50,7 +49,6 @@ struct ObsOptions
     std::string traceFile; ///< empty unless trace is enabled.
     bool traceNnLayers = false;
     bool metricsDump = false;
-    double budgetMs = 100.0;
 
     bool flight = true;       ///< flight recorder armed (always-on).
     std::string flightFile;   ///< auto/post-mortem dump path.

@@ -153,7 +153,8 @@ TEST(Config, EveryRegisteredKnobIsDocumented)
     for (const char* k :
          {"scenario", "frames", "resolution", "seed", "csv",
           "det-input", "det-width", "summary", "length", "nn.threads",
-          "nn.precision", "pipeline.depth", "pipeline.seed"})
+          "nn.precision", "pipeline.depth", "pipeline.seed",
+          "obs.budget_ms"})
         keys.push_back(k);
     for (const char* k :
          {"streams", "period-ms", "stagger", "measured", "serve-json"})
@@ -165,6 +166,17 @@ TEST(Config, EveryRegisteredKnobIsDocumented)
         EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
             << "knob \"" << key
             << "\" is not documented in docs/CONFIG.md";
+}
+
+TEST(Config, ObsSetupLeavesTheDeadlineBudgetToAdrun)
+{
+    // Only adrun has a deadline watchdog, so only adrun reads
+    // obs.budget_ms; every other tool that sets up observability must
+    // warn on the key instead of silently accepting it.
+    const Config empty;
+    (void)ad::obs::setupFromConfig(empty);
+    EXPECT_EQ(empty.readKeys().count("obs.budget_ms"), 0u);
+    EXPECT_EQ(empty.readKeys().count("obs.flight"), 1u);
 }
 
 } // namespace

@@ -379,6 +379,87 @@ TEST(MaxPool, HandlesNegativeValues)
     EXPECT_FLOAT_EQ(pool.forward(in).at(0, 0, 0), -2.0f);
 }
 
+/** The scalar max-pool loop: std::max(best, tap) in (ky, kx) order. */
+Tensor
+maxPoolReference(const Tensor& in, int k, int stride)
+{
+    const int oh = (in.height() - k) / stride + 1;
+    const int ow = (in.width() - k) / stride + 1;
+    Tensor out(in.channels(), oh, ow);
+    for (int c = 0; c < in.channels(); ++c)
+        for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox) {
+                float best = -INFINITY;
+                for (int ky = 0; ky < k; ++ky)
+                    for (int kx = 0; kx < k; ++kx)
+                        best = std::max(
+                            best, in.at(c, oy * stride + ky, ox * stride + kx));
+                out.at(c, oy, ox) = best;
+            }
+    return out;
+}
+
+/**
+ * The vector 2x2/s2 pool rows against the scalar loop, bitwise, on
+ * every ISA tier: DET's five pool shapes, odd heights and widths, a
+ * 3x3/s2 window (scalar on every tier), and inputs holding NaN, +-0
+ * ties in both orders and -inf, where a max with its operands swapped
+ * returns different bits.
+ */
+TEST(MaxPool, VectorRowsBitwiseEqualScalarLoopOnEveryTier)
+{
+    struct Case
+    {
+        int c, h, w, k, stride;
+    };
+    const Case cases[] = {{4, 160, 160, 2, 2}, {8, 80, 80, 2, 2},
+                          {16, 40, 40, 2, 2},  {32, 20, 20, 2, 2},
+                          {64, 10, 10, 2, 2},  {3, 7, 9, 2, 2},
+                          {2, 33, 71, 2, 2},   {1, 5, 67, 2, 2},
+                          {2, 2, 2, 2, 2},     {1, 3, 3, 2, 2},
+                          {2, 9, 41, 3, 2}};
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(77);
+    for (const Case& p : cases) {
+        Tensor in = randomTensor(p.c, p.h, p.w, rng);
+        float* x = in.data();
+        for (std::size_t i = 0; i < in.size(); ++i) {
+            if (i % 29 == 3)
+                x[i] = nan;
+            else if (i % 31 == 7)
+                x[i] = -inf;
+            else if (i % 37 < 8)
+                x[i] = i % 2 == 0 ? 0.0f : -0.0f;
+        }
+        // Windows of nothing but NaN, and of +-0 ties in each order,
+        // at the start of the first rows (inside the vector loops).
+        if (p.w >= 8 && p.h >= 2) {
+            for (int y = 0; y < 2; ++y) {
+                in.at(0, y, 0) = nan;
+                in.at(0, y, 1) = nan;
+                in.at(0, y, 2) = y == 0 ? -0.0f : 0.0f;
+                in.at(0, y, 3) = 0.0f;
+                in.at(0, y, 4) = 0.0f;
+                in.at(0, y, 5) = -0.0f;
+            }
+        }
+        MaxPool pool("p", p.k, p.stride);
+        const Tensor ref = maxPoolReference(in, p.k, p.stride);
+        for (const std::string& tier : int8KernelIsaTiers()) {
+            ASSERT_TRUE(setInt8KernelIsa(tier)) << tier;
+            const Tensor got = pool.forward(in);
+            ASSERT_EQ(got.size(), ref.size());
+            EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << p.c << "x" << p.h << "x" << p.w << " k" << p.k
+                << " tier " << tier;
+        }
+    }
+    ASSERT_TRUE(setInt8KernelIsa(""));
+}
+
 TEST(Activation, ReluAndLeaky)
 {
     Tensor in(1, 1, 4);

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "common/random.hh"
 #include "detect/yolo.hh"
 #include "nn/gemm_int8.hh"
+#include "nn/models.hh"
 #include "nn/quant.hh"
 #include "sensors/camera.hh"
 #include "track/goturn.hh"
@@ -70,6 +73,50 @@ TEST(Quant, RoundTripErrorBoundedByHalfStep)
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_LE(std::fabs(back[i] - x[i]), scale * 0.5f + 1e-6f)
             << "at " << i;
+}
+
+/**
+ * The reference quantizer at its edges (scale 1, so x is the product
+ * it rounds): halves round away from zero, the neighbours of +-127.5
+ * saturate, and values lround cannot represent -- x >= 2^63, +inf --
+ * saturate to +127 instead of wrapping to -127. NaN stays -127.
+ */
+TEST(Quant, QuantizeClampsBeforeRounding)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float two63 = std::ldexp(1.0f, 63);
+    const std::vector<std::pair<float, int>> cases = {
+        {0.5f, 1},
+        {-0.5f, -1},
+        {1.5f, 2},
+        {2.5f, 3},
+        {-2.5f, -3},
+        {std::nextafter(0.5f, 0.0f), 0},
+        {std::nextafter(-0.5f, 0.0f), 0},
+        {126.5f, 127},
+        {-126.5f, -127},
+        {std::nextafter(127.5f, 0.0f), 127},
+        {127.5f, 127},
+        {std::nextafter(127.5f, inf), 127},
+        {-127.5f, -127},
+        {std::nextafter(-127.5f, -inf), -127},
+        {0.0f, 0},
+        {-0.0f, 0},
+        {1.0e-40f, 0},
+        {-1.0e-40f, 0},
+        {std::nextafter(two63, 0.0f), 127},
+        {two63, 127},
+        {-two63, -127},
+        {std::numeric_limits<float>::max(), 127},
+        {inf, 127},
+        {-inf, -127},
+        {std::numeric_limits<float>::quiet_NaN(), -127},
+    };
+    for (const auto& [x, want] : cases) {
+        std::int8_t q = 0;
+        quantize(&x, 1, 1.0f, &q);
+        EXPECT_EQ(q, want) << "x = " << x;
+    }
 }
 
 TEST(Quant, QuantizeSaturatesOutOfRangeValues)
@@ -188,7 +235,7 @@ TEST(GemmInt8, AllAvailableTiersAgreeBitwise)
             ASSERT_TRUE(setInt8KernelIsa(tier)) << tier;
             ASSERT_STREQ(int8KernelIsa(), tier.c_str());
             std::vector<std::int32_t> got(mn, 0);
-            gemmInt8(m, n, k, aw.data(), b.data(), got.data());
+            gemmInt8(m, n, k, a.data(), b.data(), got.data());
             ASSERT_EQ(got, ref)
                 << "gemm tier " << tier << " shape " << m << "x" << n
                 << "x" << k;
@@ -214,10 +261,9 @@ TEST_P(GemmInt8ShapeTest, MatchesNaiveExactly)
     Rng rng(static_cast<std::uint64_t>(m * 73 + n * 7 + k));
     const auto a = randomInt8(static_cast<std::size_t>(m) * k, rng);
     const auto b = randomInt8(static_cast<std::size_t>(k) * n, rng);
-    const auto aWide = widen(a);
     std::vector<std::int32_t> c1(static_cast<std::size_t>(m) * n, 3);
     std::vector<std::int32_t> c2 = c1;
-    gemmInt8(m, n, k, aWide.data(), b.data(), c1.data());
+    gemmInt8(m, n, k, a.data(), b.data(), c1.data());
     gemmInt8Naive(m, n, k, a.data(), b.data(), c2.data());
     for (std::size_t i = 0; i < c1.size(); ++i)
         ASSERT_EQ(c1[i], c2[i]) << "at " << i;
@@ -229,13 +275,12 @@ TEST_P(GemmInt8ShapeTest, BitwiseDeterministicAcrossThreads)
     Rng rng(static_cast<std::uint64_t>(m * 131 + n * 17 + k));
     const auto a = randomInt8(static_cast<std::size_t>(m) * k, rng);
     const auto b = randomInt8(static_cast<std::size_t>(k) * n, rng);
-    const auto aWide = widen(a);
     std::vector<std::int32_t> serial(static_cast<std::size_t>(m) * n,
                                      -7);
-    gemmInt8(m, n, k, aWide.data(), b.data(), serial.data());
+    gemmInt8(m, n, k, a.data(), b.data(), serial.data());
     for (const int threads : {1, 2, 8}) {
         std::vector<std::int32_t> parallel(serial.size(), -7);
-        gemmInt8(m, n, k, aWide.data(), b.data(), parallel.data(),
+        gemmInt8(m, n, k, a.data(), b.data(), parallel.data(),
                  kernelContext(threads));
         for (std::size_t i = 0; i < serial.size(); ++i)
             ASSERT_EQ(serial[i], parallel[i])
@@ -264,7 +309,7 @@ TEST(GemvInt8, MatchesGemmAndParallel)
     const auto xWide = widen(x);
 
     std::vector<std::int32_t> viaGemm(m, 5);
-    gemmInt8(m, 1, k, aWide.data(), x.data(), viaGemm.data());
+    gemmInt8(m, 1, k, a.data(), x.data(), viaGemm.data());
     std::vector<std::int32_t> serial(m, 5);
     gemvInt8(m, k, aWide.data(), xWide.data(), serial.data());
     for (std::size_t i = 0; i < m; ++i)
@@ -278,6 +323,235 @@ TEST(GemvInt8, MatchesGemmAndParallel)
             ASSERT_EQ(serial[i], parallel[i]) << "at " << i;
     }
 }
+
+/**
+ * The int8 convolution as it ran before the register tiles, kept as
+ * the oracle: quantize() the input, unfold it into columns (a padding
+ * tap is 0), sum with gemmInt8Naive, then store
+ * float(acc) * (sIn * sW[oc]) + bias[oc] and, fused, the leaky select.
+ * The weights are quantized as the layer does it (absmax scale per
+ * output channel); the test checks the scales agree with the layer's.
+ * (This file is compiled with -ffp-contract=off, so the store rounds
+ * its multiply and add on their own.)
+ */
+Tensor
+quantConvOracle(const Conv2D& conv, float inScale, const QuantConv2D& quant,
+                const Tensor& in)
+{
+    const int inC = in.channels();
+    const int k = conv.kernel();
+    const Shape os = conv.outputShape({inC, in.height(), in.width()});
+    const auto outC = static_cast<std::size_t>(os.c);
+    const std::size_t filter = static_cast<std::size_t>(inC) * k * k;
+    const std::size_t n = static_cast<std::size_t>(os.h) * os.w;
+
+    std::vector<std::int8_t> w(outC * filter);
+    std::vector<float> sW(outC);
+    for (std::size_t oc = 0; oc < outC; ++oc) {
+        const float* row = conv.weights().data() + oc * filter;
+        float absMax = 0.0f;
+        for (std::size_t i = 0; i < filter; ++i)
+            absMax = std::max(absMax, std::fabs(row[i]));
+        sW[oc] = quantizeScale(absMax);
+        quantize(row, filter, sW[oc], w.data() + oc * filter);
+    }
+    EXPECT_EQ(sW, quant.weightScale());
+
+    std::vector<std::int8_t> q(in.size());
+    quantize(in.data(), in.size(), inScale, q.data());
+    std::vector<std::int8_t> cols(filter * n, 0);
+    std::size_t row = 0;
+    for (int c = 0; c < inC; ++c)
+        for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx, ++row)
+                for (int oy = 0; oy < os.h; ++oy)
+                    for (int ox = 0; ox < os.w; ++ox) {
+                        const int iy = oy * conv.stride() - conv.pad() + ky;
+                        const int ix = ox * conv.stride() - conv.pad() + kx;
+                        if (iy >= 0 && iy < in.height() && ix >= 0 &&
+                            ix < in.width())
+                            cols[row * n + oy * os.w + ox] = q[
+                                (static_cast<std::size_t>(c) * in.height() +
+                                 iy) * in.width() + ix];
+                    }
+    std::vector<std::int32_t> acc(outC * n, 0);
+    gemmInt8Naive(outC, n, filter, w.data(), cols.data(), acc.data());
+
+    Tensor out(os.c, os.h, os.w);
+    for (std::size_t oc = 0; oc < outC; ++oc) {
+        const float scale = inScale * sW[oc];
+        const float b = conv.bias()[oc];
+        for (std::size_t i = 0; i < n; ++i) {
+            const float v = static_cast<float>(acc[oc * n + i]) * scale + b;
+            out.data()[oc * n + i] =
+                !quant.hasFusedActivation() || v > 0.0f
+                    ? v
+                    : quant.fusedSlope() * v;
+        }
+    }
+    return out;
+}
+
+struct QuantConvCase
+{
+    std::string name;
+    int inC, outC, k, stride, pad, h, w;
+    /**
+     * Scale 1/64 (so x * inv is exact) with halves, the neighbours of
+     * +-127.5, +-0, subnormals, +-2^63, +-inf and NaN planted in the
+     * input; otherwise a calibration-like scale that clips the top
+     * 40% of |x|.
+     */
+    bool specials;
+};
+
+void
+PrintTo(const QuantConvCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+/** Every conv of `spec`'s network, named prefix + layer name. */
+void
+addNetworkConvs(std::vector<QuantConvCase>& cases, const ModelSpec& spec,
+                const std::string& prefix)
+{
+    const Network net = buildNetwork(spec);
+    Shape s = spec.input;
+    for (std::size_t i = 0; i < net.layerCount(); ++i) {
+        const Layer& layer = net.layer(i);
+        if (const auto* conv = dynamic_cast<const Conv2D*>(&layer))
+            cases.push_back({prefix + conv->name(), s.c,
+                             conv->outChannels(), conv->kernel(),
+                             conv->stride(), conv->pad(), s.h, s.w,
+                             false});
+        s = layer.outputShape(s);
+    }
+}
+
+/**
+ * DET's 15 conv shapes at 160/0.25, TRA's convs at crops 32 and 63,
+ * and ragged shapes: input channels that fill no whole quad, output
+ * widths 1, 15, 16, 17 and 33, one and nine output channels, k up to
+ * 600, strided and 5x5 windows.
+ */
+std::vector<QuantConvCase>
+quantConvCases()
+{
+    std::vector<QuantConvCase> cases;
+    addNetworkConvs(cases, detectorSpec(160, 0.25, 4), "det_");
+    addNetworkConvs(cases, trackerConvSpec(32, 0.25), "tra32_");
+    addNetworkConvs(cases, trackerConvSpec(63, 0.25), "tra63_");
+    const std::vector<QuantConvCase> ragged = {
+        {"w1_c3", 3, 5, 3, 1, 1, 6, 1, true},
+        {"w15_c5", 5, 9, 3, 1, 1, 7, 15, true},
+        {"w16_c6_m1", 6, 1, 3, 1, 1, 5, 16, true},
+        {"w17_c7", 7, 9, 3, 1, 1, 4, 17, true},
+        {"w33_c1", 1, 4, 3, 1, 1, 3, 33, true},
+        {"m1_pointwise", 5, 1, 1, 1, 0, 3, 11, true},
+        {"m9_n1", 16, 9, 1, 1, 0, 1, 1, true},
+        {"k576_in_place", 64, 9, 3, 1, 1, 4, 18, true},
+        {"k600_pointwise", 600, 5, 1, 1, 0, 3, 7, true},
+        {"k5_s1_p2", 3, 6, 5, 1, 2, 9, 19, true},
+        {"k3_s2_p1", 6, 8, 3, 2, 1, 17, 16, true},
+        {"k11_s4_c2", 2, 3, 11, 4, 0, 23, 40, true},
+    };
+    cases.insert(cases.end(), ragged.begin(), ragged.end());
+    return cases;
+}
+
+class QuantConvOracleTest : public ::testing::TestWithParam<QuantConvCase>
+{
+};
+
+/**
+ * QuantConv2D::forwardInto bitwise against the oracle on every ISA
+ * tier the host runs (pinned through the test hook), at 1 and 3
+ * threads, with and without the fused activation. Many inputs clip to
+ * +-127 and every filter holds a +-127, so a tier that saturated its
+ * pairwise sums (pmaddubsw) or a store that fused its multiply and add
+ * shows as a differing bit.
+ */
+TEST_P(QuantConvOracleTest, BitwiseEqualsParentPathOnEveryTier)
+{
+    const QuantConvCase p = GetParam();
+    Rng rng(static_cast<std::uint64_t>(p.inC * 131 + p.outC * 17 + p.k +
+                                       p.h * 7 + p.w));
+    Conv2D conv("c", p.inC, p.outC, p.k, p.stride, p.pad);
+    for (std::size_t i = 0; i < conv.weights().size(); ++i)
+        conv.weights()[i] = i % 13 == 0
+                                ? 0.0f
+                                : static_cast<float>(rng.uniform(-1.0, 1.0));
+    if (p.outC > 2) {
+        // An all-zero filter takes quantizeScale's degenerate scale.
+        const std::size_t filter =
+            conv.weights().size() / static_cast<std::size_t>(p.outC);
+        std::fill(conv.weights().begin() + static_cast<std::ptrdiff_t>(filter),
+                  conv.weights().begin() + static_cast<std::ptrdiff_t>(2 * filter),
+                  0.0f);
+    }
+    for (std::size_t i = 0; i < conv.bias().size(); ++i)
+        conv.bias()[i] = i % 3 == 0
+                             ? (i % 2 == 0 ? 0.0f : -0.0f)
+                             : static_cast<float>(rng.uniform(-0.5, 0.5));
+
+    Tensor in(p.inC, p.h, p.w);
+    float* x = in.data();
+    float absMax = 0.0f;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        x[i] = static_cast<float>(rng.uniform(-3.0, 3.0));
+        absMax = std::max(absMax, std::fabs(x[i]));
+    }
+    float inScale = quantizeScale(0.6f * absMax);
+    if (p.specials) {
+        inScale = 1.0f / 64.0f;
+        const float inf = std::numeric_limits<float>::infinity();
+        const float two63 = std::ldexp(1.0f, 63);
+        const float planted[] = {
+            0.5f / 64,      -0.5f / 64,     2.5f / 64,
+            -2.5f / 64,     126.5f / 64,    -126.5f / 64,
+            std::nextafter(127.5f / 64, 0.0f),
+            127.5f / 64,    -127.5f / 64,
+            std::nextafter(-127.5f / 64, -inf),
+            0.0f,           -0.0f,          1.0e-40f,
+            -3.0e-41f,      two63,          -two63,
+            inf,            -inf,
+            std::numeric_limits<float>::quiet_NaN()};
+        constexpr std::size_t count = sizeof(planted) / sizeof(planted[0]);
+        for (std::size_t i = 0; i < in.size(); ++i)
+            if (i % 5 == 2)
+                x[i] = planted[i / 5 % count];
+    }
+
+    QuantConv2D plain(conv, inScale);
+    QuantConv2D fused(conv, inScale);
+    fused.fuseActivation(0.1f);
+    const Tensor refPlain = quantConvOracle(conv, inScale, plain, in);
+    const Tensor refFused = quantConvOracle(conv, inScale, fused, in);
+    for (const std::string& tier : int8KernelIsaTiers()) {
+        ASSERT_TRUE(setInt8KernelIsa(tier)) << tier;
+        for (const int threads : {1, 3}) {
+            const KernelContext ctx = kernelContext(threads);
+            for (const QuantConv2D* layer : {&plain, &fused}) {
+                const Tensor& ref = layer == &plain ? refPlain : refFused;
+                const Tensor got = layer->forward(in, ctx);
+                ASSERT_EQ(got.size(), ref.size());
+                EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                      ref.size() * sizeof(float)),
+                          0)
+                    << p.name << " tier " << tier << " threads " << threads
+                    << (layer == &plain ? " unfused" : " fused");
+            }
+        }
+    }
+    ASSERT_TRUE(setInt8KernelIsa(""));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, QuantConvOracleTest, ::testing::ValuesIn(quantConvCases()),
+    [](const ::testing::TestParamInfo<QuantConvCase>& info) {
+        return info.param.name;
+    });
 
 /** Random conv with a quantized twin: outputs agree within tolerance. */
 TEST(QuantLayers, ConvTracksFp32Reference)

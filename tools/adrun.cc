@@ -118,11 +118,14 @@ main(int argc, char** argv)
     params.depth = cfg.getInt("pipeline.depth", 1);
     params.scheduleSeed = static_cast<std::uint64_t>(
         cfg.getInt("pipeline.seed", 0));
-    params.deadline.budgetMs = obsOpt.budgetMs;
+    // The deadline watchdog and the governor are adrun's alone, so the
+    // budget is read here rather than by obs::setupFromConfig.
+    const double budgetMs = cfg.getDouble("obs.budget_ms", 100.0);
+    params.deadline.budgetMs = budgetMs;
     params.deadline.logViolations = obsOpt.any();
     params.faults = pipeline::FaultInjectorParams::fromConfig(cfg);
     params.governor =
-        pipeline::GovernorParams::fromConfig(cfg, obsOpt.budgetMs);
+        pipeline::GovernorParams::fromConfig(cfg, budgetMs);
     const std::string csvPath = cfg.getString("csv");
     const bool summary = cfg.getBool("summary", false);
     cfg.warnUnreadKeys();

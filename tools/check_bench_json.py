@@ -182,7 +182,6 @@ def check_quant(c, doc):
                                 minimum=0)
         if layers_fused is not None and layers_fused < 1:
             c.fail(f"fusion.layers_fused {layers_fused} < 1")
-        c.number(fusion, "direct_convs", "fusion", minimum=0)
         for key in ("det_unfused_ms", "det_fused_ms",
                     "det_int8_unfused_ms", "det_int8_fused_ms"):
             c.number(fusion, key, "fusion", minimum=0)
